@@ -20,7 +20,21 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-TABLE_SERIES = ("eobar", "A", "a", "b", "r113", "r133")
+
+def _A_values(order: int) -> list[int]:
+    f = quadforms.f_series(order // 12 + 1)
+    return [f.c((n - 2) // 12) if n % 12 == 2 else 0 for n in range(order + 1)]
+
+
+# Exact values for n = 0..order of each table series, by name.
+TABLE_SERIES = {
+    "eobar": lambda order: partitions.eobar_series(order).coeffs,
+    "A": _A_values,
+    "a": lambda order: quadforms.f_series(order).coeffs,
+    "b": lambda order: quadforms.b_series(order).coeffs,
+    "r113": lambda order: [quadforms.r113(n) for n in range(order + 1)],
+    "r133": lambda order: [quadforms.r133(n) for n in range(order + 1)],
+}
 
 
 def _emit(record: dict, fmt: str, out: str | None) -> int:
@@ -56,19 +70,22 @@ def _record(args, rows: list[dict], status: str) -> dict:
 
 
 def cmd_verify(args) -> int:
-    suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
     if args.suite != "all" and args.suite not in verify.SUITES:
         print(f"error: unknown suite {args.suite!r}; choose from "
               f"{', '.join(verify.SUITES)} or 'all'", file=sys.stderr)
         return EXIT_USAGE
-    reports = []
+    if any(v is not None and v < 0 for v in (args.limit, args.order)):
+        print("error: --limit and --order must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     if args.suite == "all":
         reports = verify.run_all(args.limit, args.order)
     else:
         reports = verify.run_suite(args.suite, args.limit, args.order)
+    # a JSON record on stdout must be all that stdout carries
+    log = sys.stderr if args.format == "json" and not args.out else sys.stdout
     rows = []
     for rep in reports:
-        print(rep)
+        print(rep, file=log)
         rows.append(
             {
                 "suite": rep.suite,
@@ -86,35 +103,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _table_values(series: str, order: int) -> list[int]:
-    if series == "eobar":
-        return partitions.eobar_series(order).coeffs
-    if series == "A":
-        f = quadforms.f_series(order // 12 + 1)
-        return [f.c((n - 2) // 12) if n % 12 == 2 else 0 for n in range(order + 1)]
-    if series == "a":
-        return quadforms.f_series(order).coeffs
-    if series == "b":
-        return quadforms.b_series(order).coeffs
-    if series == "r113":
-        return [quadforms.r113(n) for n in range(order + 1)]
-    if series == "r133":
-        return [quadforms.r133(n) for n in range(order + 1)]
-    raise KeyError(series)
-
-
 def cmd_table(args) -> int:
-    if args.series not in TABLE_SERIES:
-        print(f"error: unknown series {args.series!r}", file=sys.stderr)
+    if args.order < 0 or (args.mod is not None and args.mod < 2):
+        print("error: --order must be >= 0 and --mod >= 2", file=sys.stderr)
         return EXIT_USAGE
-    if args.order < 0:
-        print("error: --order must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if args.series == "eobar" and args.mod:
+    if args.series == "eobar" and args.mod is not None:
         values = [int(v) for v in partitions.eobar_series_mod(args.order, args.mod)]
     else:
-        values = _table_values(args.series, args.order)
-        if args.mod:
+        values = TABLE_SERIES[args.series](args.order)
+        if args.mod is not None:
             values = [v % args.mod for v in values]
     rows = [{"n": n, "value": v} for n, v in enumerate(values)]
     return _emit(_record(args, rows, "ok"), args.format, args.out)

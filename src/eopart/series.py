@@ -89,17 +89,30 @@ def one(order: int) -> Series:
 
 
 def eta_factor(k: int, order: int) -> Series:
-    """Truncated product prod_{n>=1} (1 - q^{kn}).
+    """Truncated product prod_{n>=1} (1 - q^{kn}), exact at any order.
 
-    Computed by honest successive multiplication of the binomial factors
-    (no appeal to the pentagonal number theorem, which the test suite
-    checks as a theorem rather than assumes).  numpy int64 is used for the
-    in-place updates with a magnitude guard; intermediate coefficients of
-    these partial products stay tiny in practice, and the guard makes any
-    excursion a hard error instead of a silent wrap.
+    Built from Euler's pentagonal expansion (pentagonal_terms), which has
+    O(sqrt(order / k)) nonzero terms.  The triple-product suite checks that
+    expansion against the honest product, eta_product, at small order.
+    """
+    exps, signs = pentagonal_terms(k, order)
+    c = [0] * (order + 1)
+    for e, s in zip(exps.tolist(), signs.tolist()):
+        c[e] = s
+    return Series(c, order)
+
+
+def eta_product(k: int, order: int) -> Series:
+    """The same product by honest successive multiplication of the factors.
+
+    This is the small-order oracle for eta_factor: it makes no appeal to
+    the pentagonal number theorem.  numpy int64 is used for the in-place
+    updates with a magnitude guard; the intermediate coefficients outgrow
+    the guard for k = 1 from order 5689 on, and the guard then raises
+    ValueError instead of wrapping silently.
     """
     if k < 1:
-        raise ValueError("eta_factor needs k >= 1")
+        raise ValueError("eta factor needs k >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
     c = np.zeros(order + 1, dtype=np.int64)
@@ -110,7 +123,10 @@ def eta_factor(k: int, order: int) -> Series:
         # since the slice is taken before assignment.
         c[j:] -= c[: order + 1 - j].copy()
         if np.abs(c).max() >= guard:
-            raise OverflowError("eta_factor intermediate coefficient guard tripped")
+            raise ValueError(
+                f"eta_product({k}, {order}) outgrows its int64 guard; "
+                "use eta_factor at this order"
+            )
     return Series(c.tolist(), order)
 
 
@@ -249,6 +265,10 @@ def mod_reduce(a: Series, m: int) -> Series:
 
 def pentagonal_terms(k: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """(exponents, signs) of J_k through the given order, exponents ascending."""
+    if k < 1:
+        raise ValueError("eta factor needs k >= 1")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     exps = []
     signs = []
     m = 0
@@ -299,14 +319,19 @@ def eta_quotient_mod(
 
     Returns an int64 array of least nonnegative residues.  The numerator is
     assembled by sparse convolutions of pentagonal expansions; each
-    denominator factor is removed by the sparse division recurrence.
+    denominator factor is removed by the sparse division recurrence.  Both
+    sum up to len(exps) residues of one factor before reducing, so a
+    modulus with m * len(exps) >= 2^63 for some factor is refused.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
+    terms = {k: pentagonal_terms(k, order) for k in (*num_powers, *den_powers)}
+    if any(m * len(exps) >= 1 << 63 for exps, _ in terms.values()):
+        raise ValueError(f"modulus {m} overflows int64 sums at order {order}")
     c = np.zeros(order + 1, dtype=np.int64)
     c[0] = 1
     for k, e in num_powers.items():
-        exps, signs = pentagonal_terms(k, order)
+        exps, signs = terms[k]
         for _ in range(e):
             acc = np.zeros(order + 1, dtype=np.int64)
             nz = np.flatnonzero(c)
@@ -321,7 +346,7 @@ def eta_quotient_mod(
                     acc[x:] += s * c[: order + 1 - x]
             c = acc % m
     for k, e in den_powers.items():
-        exps, signs = pentagonal_terms(k, order)
+        exps, signs = terms[k]
         kernel = _divide_sparse_mod_jit or _divide_sparse_mod
         for _ in range(e):
             kernel(c, exps, signs, m)

@@ -10,16 +10,16 @@ asserted.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import partitions, quadforms
-from .arith import factorize, legendre
+from .arith import factorize, is_prime, is_squarefree, legendre
 from .quadforms import Mod4Class, classify_mod4
-from .series import eta_factor, eta_quotient_mod, mod_reduce, mul, power, theta
+from .series import eta_factor, eta_product, mod_reduce, mul, power, theta
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,6 @@ def family_from_theorem(primes: list[int], j: int) -> CongruenceFamily:
     if not primes:
         raise ValueError("need at least one prime")
     for p in primes:
-        from .arith import is_prime
-
         if p < 5 or not is_prime(p):
             raise ValueError(f"p_i must be a prime >= 5, got {p}")
     p_last = primes[-1]
@@ -142,9 +140,13 @@ def scan_congruences(
 
 
 def verify_triple_products(order: int = 2000) -> VerificationReport:
-    """Both Jacobi triple product specializations, coefficientwise."""
-    j1 = eta_factor(1, order)
-    j2 = eta_factor(2, order)
+    """Both Jacobi triple product specializations, coefficientwise.
+
+    The eta factors are the honest products, so this also checks the
+    pentagonal expansion that eta_factor is built from.
+    """
+    j1 = eta_product(1, order)
+    j2 = eta_product(2, order)
     lhs1 = mul(theta("square_alt", order), j2)
     rhs1 = power(j1, 2)
     if lhs1 != rhs1:
@@ -194,8 +196,6 @@ def verify_r113_A(n_max: int = 5000) -> VerificationReport:
 
 def verify_classnumber(n_max: int = 2000) -> VerificationReport:
     """r113(n) = r133(3n) = 2 h(-3n) for squarefree n = 2 mod 12."""
-    from .arith import is_squarefree
-
     for n in range(2, n_max + 1, 12):
         if not is_squarefree(n):
             continue
@@ -217,8 +217,6 @@ def verify_h6p(p_max: int = 500) -> VerificationReport:
     invokes it (n = 2p = 2 mod 12 forces p = 1 mod 6), it holds.  The
     restricted result is reported in details either way.
     """
-    from .arith import is_prime
-
     counterexample = None
     restricted_ok = True
     for p in range(5, p_max + 1, 2):
@@ -238,8 +236,6 @@ def verify_h6p(p_max: int = 500) -> VerificationReport:
 
 def verify_genus(n_max: int = 2000) -> VerificationReport:
     """2^{t-1} divides h(-3n), t = number of distinct primes of 3n."""
-    from .arith import is_squarefree
-
     for n in range(2, n_max + 1, 12):
         if not is_squarefree(n):
             continue
@@ -459,69 +455,52 @@ def gamma_count(A: int, B: int, N: int) -> tuple[int, float]:
 
 HECKE_PRIMES = (5, 7, 11, 13)
 
-SUITES = (
-    "triple-product",
-    "eobar-oracle",
-    "r113-A",
-    "classnumber",
-    "h6p",
-    "genus",
-    "hecke",
-    "lemmas33-35",
-    "classification",
-    "eobar-A",
-    "a-eq-b",
-    "families",
-)
+
+class Suite(NamedTuple):
+    """A registry entry: run(bound) returns the suite's reports."""
+
+    run: Callable[[int], list[VerificationReport]]
+    default: int
+    bound: str = "limit"  # the run_suite argument that overrides the default
+
+
+SUITES: dict[str, Suite] = {
+    "triple-product": Suite(lambda n: [verify_triple_products(n)], 2000),
+    "eobar-oracle": Suite(lambda n: [verify_eobar_oracle(min(n, partitions.ENUM_GUARD))], 60),
+    "r113-A": Suite(lambda n: [verify_r113_A(n)], 5000),
+    "classnumber": Suite(lambda n: [verify_classnumber(n)], 2000),
+    "h6p": Suite(lambda n: [verify_h6p(n)], 500),
+    "genus": Suite(lambda n: [verify_genus(n)], 2000),
+    "hecke": Suite(lambda n: [verify_hecke(p, n) for p in HECKE_PRIMES], 200),
+    "lemmas33-35": Suite(lambda n: [verify_lemmas_3_2_to_3_5(p, n) for p in HECKE_PRIMES], 50),
+    "classification": Suite(lambda n: [verify_classification(n)], 100_000),
+    "eobar-A": Suite(lambda n: [verify_eobar_equals_A(n)], 2000),
+    "a-eq-b": Suite(lambda n: [verify_a_eq_b(n)], 2000),
+    "families": Suite(lambda n: [verify_families(n)], 150_000, "order"),
+}
 
 
 def run_suite(name: str, limit: int | None = None, order: int | None = None) -> list[VerificationReport]:
     """Run one named suite; limit/order override the per-suite defaults."""
-
-    def lim(default):
-        return default if limit is None else limit
-
-    if name == "triple-product":
-        return [verify_triple_products(lim(2000))]
-    if name == "eobar-oracle":
-        return [verify_eobar_oracle(min(lim(60), partitions.ENUM_GUARD))]
-    if name == "r113-A":
-        return [verify_r113_A(lim(5000))]
-    if name == "classnumber":
-        return [verify_classnumber(lim(2000))]
-    if name == "h6p":
-        return [verify_h6p(lim(500))]
-    if name == "genus":
-        return [verify_genus(lim(2000))]
-    if name == "hecke":
-        return [verify_hecke(p, lim(200)) for p in HECKE_PRIMES]
-    if name == "lemmas33-35":
-        return [verify_lemmas_3_2_to_3_5(p, lim(50)) for p in HECKE_PRIMES]
-    if name == "classification":
-        return [verify_classification(lim(100_000))]
-    if name == "eobar-A":
-        return [verify_eobar_equals_A(lim(2000))]
-    if name == "a-eq-b":
-        return [verify_a_eq_b(lim(2000))]
-    if name == "families":
-        return [verify_families(order or 150_000)]
-    raise KeyError(f"unknown suite {name!r}")
+    if name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}")
+    suite = SUITES[name]
+    n = order if suite.bound == "order" else limit
+    if n is None:
+        n = suite.default
+    if n < 0:
+        raise ValueError(f"{suite.bound} must be >= 0, got {n}")
+    return suite.run(n)
 
 
 def worker_count() -> int:
-    cap = os.environ.get("PCL_THREADS")
-    n = os.cpu_count() or 1
-    if cap:
-        n = max(1, min(n, int(cap)))
-    return n
+    """Threads run_all uses: always 1, since the suites run serially."""
+    return 1
 
 
 def run_all(limit: int | None = None, order: int | None = None) -> list[VerificationReport]:
-    """Run every suite; independent suites run on a thread pool, reports
-    merged in deterministic (alphabetical) order."""
+    """Run every suite on the calling thread, in alphabetical order."""
     reports: list[VerificationReport] = []
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futs = {name: pool.submit(run_suite, name, limit, order) for name in SUITES}
-        for name in sorted(SUITES):
-            reports.extend(futs[name].result())
+    for name in sorted(SUITES):
+        reports.extend(run_suite(name, limit, order))
     return reports

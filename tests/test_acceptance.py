@@ -14,7 +14,7 @@ import pytest
 
 import eopart.verify as V
 from eopart import partitions, quadforms
-from eopart.series import eta_factor, mul, power, theta
+from eopart.series import eta_product, mul, power, theta
 
 
 def _criterion(num: int, limit_s: float | None):
@@ -46,8 +46,8 @@ def test_criterion_01_fixture_exactness():
 def test_criterion_02_triple_products():
     with _criterion(2, 5.0):
         order = 2000
-        j1 = eta_factor(1, order)
-        assert mul(theta("square_alt", order), eta_factor(2, order)) == power(j1, 2)
+        j1 = eta_product(1, order)
+        assert mul(theta("square_alt", order), eta_product(2, order)) == power(j1, 2)
         assert theta("pent3_alt", order) == j1
 
 

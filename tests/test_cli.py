@@ -5,6 +5,7 @@ import json
 import pytest
 
 from eopart.cli import main
+from eopart.quadforms import b_series_theta
 
 
 def run(capsys, *argv):
@@ -65,6 +66,29 @@ class TestTable:
         assert code == 0 and out == ""
         assert parse_csv(path.read_text())[0]["value"] == "1"
 
+    def test_b_past_the_product_guard(self, capsys):
+        code, out, _ = run(capsys, "table", "--series", "b", "--order", "6000")
+        assert code == 0
+        want = b_series_theta(6000).coeffs
+        assert [int(r["value"]) for r in parse_csv(out)] == want
+
+    @pytest.mark.parametrize("series", ["eobar", "A", "a", "b", "r113", "r133"])
+    @pytest.mark.parametrize("mod", ["-3", "0", "1"])
+    def test_mod_below_two_refused(self, capsys, series, mod):
+        code, out, err = run(
+            capsys, "table", "--series", series, "--order", "5", "--mod", mod
+        )
+        assert code == 2
+        assert out == "" and "--mod >= 2" in err
+
+    def test_mod_too_large_for_int64_refused(self, capsys):
+        code, out, err = run(
+            capsys, "table", "--series", "eobar", "--order", "400",
+            "--mod", str(3 * 10**18 + 37),
+        )
+        assert code == 2
+        assert out == "" and "overflows int64" in err
+
     def test_unwritable_out(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -94,16 +118,23 @@ class TestVerify:
         assert "FAIL" in out and "'p': 17" in out
 
     def test_json_record(self, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             capsys,
             "verify", "--suite", "triple-product", "--limit", "100",
             "--format", "json",
         )
         assert code == 0
-        # report lines precede the JSON record; the record starts at '{'
-        record = json.loads(out[out.index("{"):])
+        # stdout is the JSON record alone; the report lines go to stderr
+        record = json.loads(out)
         assert record["status"] == "pass"
         assert record["rows"][0]["suite"] == "triple-product"
+        assert "[PASS] triple-product" in err
+
+    @pytest.mark.parametrize("bound", ["--limit", "--order"])
+    def test_negative_bound_refused(self, capsys, bound):
+        code, out, err = run(capsys, "verify", "--suite", "genus", bound, "-5")
+        assert code == 2
+        assert out == "" and ">= 0" in err
 
 
 class TestScan:

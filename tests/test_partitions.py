@@ -10,7 +10,7 @@ from eopart.partitions import (
     _is_eo,
     _is_eobar,
 )
-from eopart.series import eta_factor, mul, power
+from eopart.series import eta_factor, eta_quotient_mod, mul, power
 
 # the defining fixture: the five restricted partitions of 8
 EOBAR_8 = {
@@ -89,3 +89,19 @@ def test_mod_path_matches_exact():
     s = eobar_series(400)
     arr = eobar_series_mod(400, 4)
     assert [c % 4 for c in s.coeffs] == arr.tolist()
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_mod4_shortcut_matches_division(m):
+    # the division-free J_2^2 J_4 path against the division recurrence
+    arr = eobar_series_mod(3000, m)
+    assert arr.tolist() == eta_quotient_mod({4: 3}, {2: 2}, 3000, m).tolist()
+
+
+def test_mod_path_int64_bound():
+    # sums of len(exps) residues must fit in int64: 10^15+37 does, exactly;
+    # 3*10^18+37 would wrap, so it is refused
+    m = 10**15 + 37
+    assert eobar_series_mod(400, m).tolist() == [c % m for c in eobar_series(400).coeffs]
+    with pytest.raises(ValueError, match="overflows int64"):
+        eobar_series_mod(400, 3 * 10**18 + 37)

@@ -6,6 +6,7 @@ from eopart.series import (
     Series,
     divide,
     eta_factor,
+    eta_product,
     eta_quotient_mod,
     extract_progression,
     invert,
@@ -43,10 +44,22 @@ class TestEtaFactor:
             assert eta_factor(k, 30).c(0) == 1
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
-            eta_factor(0, 5)
-        with pytest.raises(ValueError):
-            eta_factor(1, -1)
+        for fn in (eta_factor, eta_product):
+            with pytest.raises(ValueError):
+                fn(0, 5)
+            with pytest.raises(ValueError):
+                fn(1, -1)
+
+    def test_matches_honest_product(self):
+        for k in (1, 2, 3, 4, 12):
+            assert eta_factor(k, 400) == eta_product(k, 400)
+
+    def test_past_the_product_guard(self):
+        # the honest product outgrows int64 for k = 1 from order 5689 on;
+        # the pentagonal route has no ceiling
+        with pytest.raises(ValueError, match="guard"):
+            eta_product(1, 6000)
+        assert eta_factor(1, 6000) == theta("pent3_alt", 6000)
 
 
 class TestTheta:
@@ -165,12 +178,12 @@ class TestModReduce:
 class TestTripleProductIdentities:
     @pytest.mark.parametrize("order", [50, 200, 600])
     def test_square_alt_identity(self, order):
-        lhs = mul(theta("square_alt", order), eta_factor(2, order))
-        assert lhs == power(eta_factor(1, order), 2)
+        lhs = mul(theta("square_alt", order), eta_product(2, order))
+        assert lhs == power(eta_product(1, order), 2)
 
     @pytest.mark.parametrize("order", [50, 200, 600])
     def test_pent3_alt_identity(self, order):
-        assert theta("pent3_alt", order) == eta_factor(1, order)
+        assert theta("pent3_alt", order) == eta_product(1, order)
 
 
 class TestDivide:
@@ -190,7 +203,7 @@ class TestModPath:
             dense = [0] * 401
             for e, s in zip(exps, signs):
                 dense[e] += s
-            assert dense == eta_factor(k, 400).coeffs
+            assert dense == eta_product(k, 400).coeffs
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
     def test_quotient_matches_exact(self, m):

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import pytest
 
@@ -183,9 +184,28 @@ class TestGammaCount:
 
 
 class TestRunner:
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("PCL_THREADS", "1")
-        assert V.worker_count() == 1
+    def test_run_all_serial_in_name_order(self, monkeypatch):
+        run_suite = V.run_suite
+        calls = []
+
+        def recording(name, limit=None, order=None):
+            calls.append((name, threading.get_ident()))
+            return run_suite(name, limit, order)
+
+        monkeypatch.setattr(V, "run_suite", recording)
+        reports = V.run_all(limit=20, order=200)
+        assert [name for name, _ in calls] == sorted(V.SUITES)
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        expected = [r for name in sorted(V.SUITES) for r in run_suite(name, 20, 200)]
+        assert reports == expected
+
+    def test_bounds(self):
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            V.run_suite("genus", limit=-1)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            V.run_suite("families", order=-1)
+        # order 0 is a bound like any other, not a request for the default
+        assert V.run_suite("families", order=0)[0].range_checked == "order 0"
 
     def test_run_suite_names_cover_registry(self):
         for name in V.SUITES:

@@ -164,9 +164,9 @@ def eobar_series_mod(order: int, m: int) -> np.ndarray:
     arithmetic keep order ~10^6 feasible.  Agrees with eobar_series on
     overlapping ranges (tested, not assumed).
 
-    For m dividing 4 no division is needed: J_2^2 = J_4 (mod 2) gives
-    J_2^4 = J_4^2 (mod 4), so J_4^3 / J_2^2 = J_2^2 J_4 (mod 4), three
-    sparse-times-dense passes instead of the O(order^1.5) recurrence.
+    For m dividing 4 no inverse is needed: J_2^2 = J_4 (mod 2) gives
+    J_2^4 = J_4^2 (mod 4), so J_4^3 / J_2^2 = J_2^2 J_4 (mod 4), two FFT
+    products instead of the Newton inversion of J_2^2 other moduli take.
     """
     if m in (2, 4):
         return eta_quotient_mod({2: 2, 4: 1}, {}, order, 4) % m

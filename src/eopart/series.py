@@ -13,7 +13,8 @@ O(N * nnz(divisor)) by the standard coefficient recurrence.
 
 from __future__ import annotations
 
-import math
+from functools import reduce
+from math import isqrt
 from typing import Iterable, Literal
 
 import numpy as np
@@ -96,10 +97,9 @@ def eta_factor(k: int, order: int) -> Series:
     expansion against the honest product, eta_product, at small order.
     """
     exps, signs = pentagonal_terms(k, order)
-    c = [0] * (order + 1)
-    for e, s in zip(exps.tolist(), signs.tolist()):
-        c[e] = s
-    return Series(c, order)
+    c = np.zeros(order + 1, dtype=np.int64)
+    c[exps] = signs
+    return Series(c.tolist(), order)
 
 
 def eta_product(k: int, order: int) -> Series:
@@ -254,12 +254,11 @@ def mod_reduce(a: Series, m: int) -> Series:
 # ---------------------------------------------------------------------------
 # Reduced (mod m) fast path.
 #
-# At congruence-only scale (order ~10^6) the exact dense pipeline is too
-# slow, so eta factors are represented by their lacunary expansion
-# J_k = sum_m (-1)^m q^{k m(3m-1)/2} (Euler's pentagonal number theorem)
-# and all coefficients live reduced mod m.  The test suite checks this path
-# against the exact one on overlapping ranges, and checks the pentagonal
-# expansion itself against the honest product.
+# At congruence-only scale (order ~10^6) every coefficient lives reduced
+# mod m.  Eta factors enter through Euler's pentagonal expansion
+# J_k = sum_j (-1)^j q^{k j(3j-1)/2}; every product is one FFT convolution
+# (_mul_mod) and every quotient one Newton inversion (_inv_mod), O(N log N)
+# for any modulus.  The exact Series routines above are its oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -269,47 +268,60 @@ def pentagonal_terms(k: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("eta factor needs k >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
-    exps = []
-    signs = []
-    m = 0
-    while True:
-        lo = k * m * (3 * m - 1) // 2
-        hi = k * m * (3 * m + 1) // 2
-        if lo > order and hi > order:
-            break
-        s = -1 if m % 2 else 1
-        if lo <= order:
-            exps.append(lo)
-            signs.append(s)
-        if m and hi <= order:
-            exps.append(hi)
-            signs.append(s)
-        m += 1
-    idx = np.argsort(exps)
-    return np.asarray(exps, dtype=np.int64)[idx], np.asarray(signs, dtype=np.int64)[idx]
+    # k j(3j-1)/2 >= k j^2 for every integer j, so |j| <= isqrt(order // k)
+    j = np.arange(-isqrt(order // k), isqrt(order // k) + 1)
+    exps = k * j * (3 * j - 1) // 2
+    idx = np.flatnonzero(exps <= order)
+    idx = idx[np.argsort(exps[idx])]
+    return exps[idx], np.where(j[idx] % 2, -1, 1)
 
 
-def _divide_sparse_mod(c: np.ndarray, exps: np.ndarray, signs: np.ndarray, m: int) -> None:
-    # In-place c <- c / (1 + sum signs q^exps) with coefficients mod m;
-    # exps ascending, exps[0] == 0, signs[0] == 1.
-    n_terms = len(exps)
-    for n in range(len(c)):
-        acc = c[n]
-        for t in range(1, n_terms):
-            k = exps[t]
-            if k > n:
-                break
-            acc -= signs[t] * c[n - k]
-        c[n] = acc % m
-    return None
+# Exactness budget: a float64 FFT convolution rounds to the exact integers
+# while they stay far below 2^53.  _mul_mod cuts residues into k-bit limbs,
+# k the widest for which a limb convolution (limbs * n terms, each below
+# 2^(2k)) stays below 2^40, and refuses a rounding distance above 0.25 with
+# ValueError rather than return a wrong residue.
+def _mul_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """First len(a) coefficients of a*b mod m; a, b equal-length residues."""
+    n, bits = len(a), max((m - 1).bit_length(), 1)
+    k = bits
+    while -(-bits // k) * n * 4**k >= 2**40:
+        k -= 1
+    limbs = -(-bits // k)
+    # 2n-1 rounded up to four significant bits: less padding than 2^j
+    step = 1 << max((2 * n - 1).bit_length() - 4, 0)
+    size = -(-(2 * n - 1) // step) * step
+    split = lambda x: [np.fft.rfft((x >> k * i) & ((1 << k) - 1), size) for i in range(limbs)]
+    fa = split(a)
+    fb = fa if b is a else split(b)
+    # Horner in 2^k over the limb sums, doubling mod m; acc < m, and the
+    # guard in eta_quotient_mod leaves m < 2^62 unless every series is 1.
+    acc = 0
+    for s in range(2 * limbs - 2, -1, -1):
+        pairs = range(max(0, s - limbs + 1), min(s, limbs - 1) + 1)
+        x = np.fft.irfft(sum(fa[i] * fb[s - i] for i in pairs), size)[:n]
+        r = np.rint(x)
+        if (dist := np.abs(x - r).max()) > 0.25:
+            raise ValueError(f"FFT product lost exactness (rounding distance {dist:.3g})")
+        for _ in range(k):
+            acc = (acc << 1) % m
+        acc = (acc + r.astype(np.int64)) % m
+    return acc
 
 
-try:  # compiled kernel for the order-10^6 density sweep
-    from numba import njit
+def _inv_mod(f: np.ndarray, m: int) -> np.ndarray:
+    """1/f mod m to len(f) coefficients, for f[0] == 1.
 
-    _divide_sparse_mod_jit = njit(cache=True)(_divide_sparse_mod)
-except ImportError:  # pragma: no cover
-    _divide_sparse_mod_jit = None
+    Newton's iteration g <- g (2 - f g) doubles the number of correct
+    coefficients per step and never divides, so any modulus works.
+    """
+    g = np.ones(1, dtype=np.int64)
+    while len(g) < len(f):
+        g = np.pad(g, (0, min(len(g), len(f) - len(g))))
+        e = -_mul_mod(f[: len(g)], g, m) % m
+        e[0] = 1  # f g = 1 + O(q^(len(g)/2)), so 2 - f g starts with 1
+        g = _mul_mod(g, e, m)
+    return g
 
 
 def eta_quotient_mod(
@@ -317,37 +329,28 @@ def eta_quotient_mod(
 ) -> np.ndarray:
     """Coefficients mod m of prod J_k^{e_k} / prod J_k^{f_k} through order.
 
-    Returns an int64 array of least nonnegative residues.  The numerator is
-    assembled by sparse convolutions of pentagonal expansions; each
-    denominator factor is removed by the sparse division recurrence.  Both
-    sum up to len(exps) residues of one factor before reducing, so a
-    modulus with m * len(exps) >= 2^63 for some factor is refused.
+    Returns an int64 array of least nonnegative residues.  Each power of a
+    factor is one _mul_mod and the denominator is removed by one _inv_mod.
+    Refused with ValueError: m < 2, order < 0, a negative exponent, and a
+    modulus with m * len(exps) >= 2^63 for some factor.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
+    if order < 0 or min((*num_powers.values(), *den_powers.values()), default=0) < 0:
+        raise ValueError("order and eta exponents must be >= 0")
     terms = {k: pentagonal_terms(k, order) for k in (*num_powers, *den_powers)}
     if any(m * len(exps) >= 1 << 63 for exps, _ in terms.values()):
         raise ValueError(f"modulus {m} overflows int64 sums at order {order}")
-    c = np.zeros(order + 1, dtype=np.int64)
-    c[0] = 1
-    for k, e in num_powers.items():
-        exps, signs = terms[k]
-        for _ in range(e):
-            acc = np.zeros(order + 1, dtype=np.int64)
-            nz = np.flatnonzero(c)
-            if len(nz) * len(exps) <= 4 * (order + 1):
-                # sparse * sparse: scatter the pairwise products
-                vals = c[nz]
-                for x, s in zip(exps.tolist(), signs.tolist()):
-                    sel = nz <= order - x
-                    np.add.at(acc, nz[sel] + x, s * vals[sel])
-            else:
-                for x, s in zip(exps.tolist(), signs.tolist()):
-                    acc[x:] += s * c[: order + 1 - x]
-            c = acc % m
-    for k, e in den_powers.items():
-        exps, signs = terms[k]
-        kernel = _divide_sparse_mod_jit or _divide_sparse_mod
-        for _ in range(e):
-            kernel(c, exps, signs, m)
-    return c
+
+    def product(powers: dict[int, int]) -> np.ndarray:
+        factors = []
+        for k, e in powers.items():
+            j = np.zeros(order + 1, dtype=np.int64)
+            j[terms[k][0]] = terms[k][1] % m
+            factors += [j] * e
+        if not factors:
+            return np.eye(1, order + 1, dtype=np.int64)[0]
+        return reduce(lambda x, y: _mul_mod(x, y, m), factors)
+
+    c = product(num_powers)
+    return _mul_mod(c, _inv_mod(product(den_powers), m), m) if den_powers else c

@@ -2,10 +2,12 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from eopart.cli import main
 from eopart.quadforms import b_series_theta
+from eopart.series import eta_quotient_mod
 
 
 def run(capsys, *argv):
@@ -88,6 +90,25 @@ class TestTable:
         )
         assert code == 2
         assert out == "" and "overflows int64" in err
+
+    def test_lost_exactness_refused(self, capsys, monkeypatch):
+        # a product whose rounding distance exceeds 0.25 raises ValueError,
+        # which the CLI reports as a refusal (2), not a counterexample (1)
+        irfft = np.fft.irfft
+
+        def noisy(*args, **kwargs):
+            x = irfft(*args, **kwargs)
+            x[0] += 0.4
+            return x
+
+        monkeypatch.setattr(np.fft, "irfft", noisy)
+        with pytest.raises(ValueError, match="lost exactness"):
+            eta_quotient_mod({4: 3}, {2: 2}, 50, 8)
+        code, out, err = run(
+            capsys, "table", "--series", "eobar", "--order", "50", "--mod", "8"
+        )
+        assert code == 2
+        assert out == "" and "lost exactness" in err
 
     def test_unwritable_out(self, capsys, tmp_path):
         code, _, err = run(

@@ -98,6 +98,13 @@ def test_mod4_shortcut_matches_division(m):
     assert arr.tolist() == eta_quotient_mod({4: 3}, {2: 2}, 3000, m).tolist()
 
 
+def test_newton_route_matches_shortcut_at_scale():
+    # Newton inverse of J_2^2 mod 8 against the division-free J_2^2 J_4 mod 4
+    order = 100_000
+    arr = eta_quotient_mod({4: 3}, {2: 2}, order, 8) % 4
+    assert arr.tolist() == eobar_series_mod(order, 4).tolist()
+
+
 def test_mod_path_int64_bound():
     # sums of len(exps) residues must fit in int64: 10^15+37 does, exactly;
     # 3*10^18+37 would wrap, so it is refused

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eopart.series import (
     Series,
+    _inv_mod,
+    _mul_mod,
     divide,
     eta_factor,
     eta_product,
@@ -205,7 +208,8 @@ class TestModPath:
                 dense[e] += s
             assert dense == eta_product(k, 400).coeffs
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+    # the last two moduli need several FFT limbs per residue
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 2**31 - 1, 10**15 + 37])
     def test_quotient_matches_exact(self, m):
         exact = divide(
             divide(power(eta_factor(4, 500), 3), eta_factor(2, 500)),
@@ -218,6 +222,28 @@ class TestModPath:
         exact = mul(power(eta_factor(2, 300), 2), eta_factor(4, 300))
         arr = eta_quotient_mod({2: 2, 4: 1}, {}, 300, 4)
         assert [v % 4 for v in exact.coeffs] == arr.tolist()
+
+    @given(small_series, unit_series, st.integers(min_value=2, max_value=2**62))
+    @settings(max_examples=60)
+    def test_kernel_matches_exact(self, a, den, m):
+        # FFT product and Newton inverse against Series.mul and invert
+        n = min(a.order, den.order) + 1
+        f = mod_reduce(Series([1] + den.coeffs[1:n]), m)
+        ra = np.array(mod_reduce(a, m).coeffs[:n], dtype=np.int64)
+        rf = np.array(f.coeffs, dtype=np.int64)
+        assert _mul_mod(ra, rf, m).tolist() == mod_reduce(mul(a, f), m).coeffs
+        assert _mul_mod(ra, ra, m).tolist() == mod_reduce(mul(a, a), m).coeffs[:n]
+        assert _inv_mod(rf, m).tolist() == mod_reduce(invert(f), m).coeffs
+
+    def test_bad_args(self):
+        for args in (
+            ({4: 3}, {2: 2}, 10, 1),
+            ({4: -1}, {}, 10, 4),
+            ({4: 1}, {2: -2}, 10, 4),
+            ({}, {}, -1, 4),
+        ):
+            with pytest.raises(ValueError):
+                eta_quotient_mod(*args)
 
 
 class TestSeriesInvariants:

@@ -1,9 +1,9 @@
 """Partitions with even parts below odd parts, and the restricted count
 where only the largest even part has odd multiplicity.
 
-Two independent routes to the restricted count: brute-force enumeration of
-all partitions (the oracle, guarded to small n) and the eta-quotient
-generating function J_4^3 / J_2^2.
+Two independent routes to the restricted count: the even-below-odd
+partitions filtered by the membership rule below (the oracle, guarded to
+small n) and the eta-quotient generating function J_4^3 / J_2^2.
 
 Membership rule for the restricted count, fixed by the defining example at
 n = 8 (five partitions: 8, 4+2+2, 3+3+2, 3+3+1+1, 1^8): when an even part
@@ -23,9 +23,9 @@ import numpy as np
 
 from .series import Series, divide, eta_factor, eta_quotient_mod, mul, power
 
-# Exhaustive enumeration walks every partition of every n' <= n; the total
-# count grows like exp(c*sqrt(n)), so n = 70 (~1.2e7 partitions) is already a
-# few seconds of work and n = 100 would be hundreds of millions.
+# Enumeration walks the even-below-odd partitions of n, whose number still
+# grows like exp(c*sqrt(n)): n = 70 has 81,156 of them (about a second of
+# work) and n = 100 has 1,295,971.
 ENUM_GUARD = 70
 
 
@@ -62,64 +62,34 @@ def _is_eobar(parts: tuple[int, ...]) -> bool:
     return not odd_mult
 
 
+def eo_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Even-below-odd partitions of n, as weakly decreasing tuples.
+
+    Parts go largest first, each with its multiplicity; after the first even
+    part only even parts follow, and an odd remainder there is cut at once.
+    """
+
+    def walk(rest: int, top: int, evens: bool) -> Iterator[tuple[int, ...]]:
+        if rest == 0:
+            yield ()
+        elif not (evens and rest % 2):
+            # in the even phase rest and top are both even, so p steps by 2
+            for p in range(min(rest, top), 0, -2 if evens else -1):
+                even = evens or p % 2 == 0
+                for k in range(1, rest // p + 1):
+                    for tail in walk(rest - k * p, p - 2 if even else p - 1, even):
+                        yield (p,) * k + tail
+
+    return walk(n, n, False)
+
+
 @lru_cache(maxsize=None)
-def _filtered_counts(n: int) -> tuple[int, int]:
-    # One pass over all partitions of n (iterative ascending generation,
-    # Kelleher's accelAsc), scanning each in place.  Returns the pair
-    # (even-below-odd count, restricted count).
-    if n == 0:
-        return 1, 1
+def _counts(n: int) -> tuple[int, int]:
+    # (even-below-odd count, restricted count), from one walk
     eo = eobar = 0
-    a = [0] * (n + 1)
-    k = 1
-    a[1] = n
-    while k:
-        x = a[k - 1] + 1
-        y = a[k] - 1
-        k -= 1
-        while x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        a[k] = x + y
-        # parts are a[0..k], ascending
-        max_even = 0
-        min_odd = 0
-        ok = True
-        for i in range(k + 1):
-            p = a[i]
-            if p % 2:
-                if not min_odd:
-                    min_odd = p
-            else:
-                max_even = p
-                if min_odd:
-                    ok = False
-                    break
-        if not ok:
-            continue
+    for parts in eo_partitions(n):
         eo += 1
-        # multiplicity scan: equal parts are adjacent
-        bad = False
-        odd_mult = -1  # value of the unique odd-multiplicity part, if any
-        i = 0
-        while i <= k:
-            j = i
-            while j <= k and a[j] == a[i]:
-                j += 1
-            if (j - i) % 2:
-                if odd_mult >= 0:
-                    bad = True
-                    break
-                odd_mult = a[i]
-            i = j
-        if bad:
-            continue
-        if max_even:
-            if odd_mult == max_even:
-                eobar += 1
-        elif odd_mult < 0:
-            eobar += 1
+        eobar += _is_eobar(parts)
     return eo, eobar
 
 
@@ -136,13 +106,13 @@ def _check_guard(n: int):
 def eo_count(n: int) -> int:
     """Number of partitions of n with every even part below every odd part."""
     _check_guard(n)
-    return _filtered_counts(n)[0]
+    return _counts(n)[0]
 
 
 def eobar_count_enum(n: int) -> int:
     """Restricted count by full enumeration (the oracle path)."""
     _check_guard(n)
-    return _filtered_counts(n)[1]
+    return _counts(n)[1]
 
 
 def eobar_series(order: int) -> Series:

@@ -294,8 +294,8 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     split = lambda x: [np.fft.rfft((x >> k * i) & ((1 << k) - 1), size) for i in range(limbs)]
     fa = split(a)
     fb = fa if b is a else split(b)
-    # Horner in 2^k over the limb sums, doubling mod m; acc < m, and the
-    # guard in eta_quotient_mod leaves m < 2^62 unless every series is 1.
+    # Horner in 2^k over the limb sums, doubling mod m; acc < m <= 2^62
+    # (eta_quotient_mod refuses larger m), so acc << 1 fits in int64.
     acc = 0
     for s in range(2 * limbs - 2, -1, -1):
         pairs = range(max(0, s - limbs + 1), min(s, limbs - 1) + 1)
@@ -331,16 +331,16 @@ def eta_quotient_mod(
 
     Returns an int64 array of least nonnegative residues.  Each power of a
     factor is one _mul_mod and the denominator is removed by one _inv_mod.
-    Refused with ValueError: m < 2, order < 0, a negative exponent, and a
-    modulus with m * len(exps) >= 2^63 for some factor.
+    Refused with ValueError: m < 2, m > 2^62 (the Horner doubling in
+    _mul_mod would overflow int64), order < 0 and a negative exponent.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
+    if m > 1 << 62:
+        raise ValueError(f"modulus {m} overflows int64: the kernel needs m <= 2^62")
     if order < 0 or min((*num_powers.values(), *den_powers.values()), default=0) < 0:
         raise ValueError("order and eta exponents must be >= 0")
     terms = {k: pentagonal_terms(k, order) for k in (*num_powers, *den_powers)}
-    if any(m * len(exps) >= 1 << 63 for exps, _ in terms.values()):
-        raise ValueError(f"modulus {m} overflows int64 sums at order {order}")
 
     def product(powers: dict[int, int]) -> np.ndarray:
         factors = []

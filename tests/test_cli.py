@@ -86,7 +86,7 @@ class TestTable:
     def test_mod_too_large_for_int64_refused(self, capsys):
         code, out, err = run(
             capsys, "table", "--series", "eobar", "--order", "400",
-            "--mod", str(3 * 10**18 + 37),
+            "--mod", str(2**62 + 1),
         )
         assert code == 2
         assert out == "" and "overflows int64" in err

@@ -3,6 +3,7 @@ import pytest
 from eopart.partitions import (
     ENUM_GUARD,
     eo_count,
+    eo_partitions,
     eobar_count_enum,
     eobar_series,
     eobar_series_mod,
@@ -106,9 +107,29 @@ def test_newton_route_matches_shortcut_at_scale():
 
 
 def test_mod_path_int64_bound():
-    # sums of len(exps) residues must fit in int64: 10^15+37 does, exactly;
-    # 3*10^18+37 would wrap, so it is refused
-    m = 10**15 + 37
-    assert eobar_series_mod(400, m).tolist() == [c % m for c in eobar_series(400).coeffs]
+    # the kernel is exact for every m <= 2^62, where Horner's doubling still
+    # fits in int64; anything larger is refused
+    exact = eobar_series(400).coeffs
+    for m in (10**15 + 37, 3 * 10**18 + 37, 2**62):
+        assert eobar_series_mod(400, m).tolist() == [c % m for c in exact], m
     with pytest.raises(ValueError, match="overflows int64"):
-        eobar_series_mod(400, 3 * 10**18 + 37)
+        eobar_series_mod(400, 2**62 + 1)
+
+
+def test_eo_partitions_match_brute_force():
+    # the pruned walk against the filter over every partition
+    for n in range(26):
+        walked = list(eo_partitions(n))
+        assert len(walked) == len(set(walked)), n
+        assert all(list(p) == sorted(p, reverse=True) for p in walked), n
+        assert set(walked) == {p for p in partitions_desc(n) if _is_eo(p)}, n
+
+
+@pytest.mark.parametrize(
+    "n, eo, eobar", [(20, 139, 26), (40, 2714, 191), (60, 28629, 966), (70, 81156, 1976)]
+)
+def test_pinned_counts(n, eo, eobar):
+    # values of the full-partition scan the walk replaced
+    assert eo_count(n) == eo
+    assert eobar_count_enum(n) == eobar
+    assert eobar_series(70).c(n) == eobar

@@ -32,8 +32,8 @@ TABLE_SERIES = {
     "A": _A_values,
     "a": lambda order: quadforms.f_series(order).coeffs,
     "b": lambda order: quadforms.b_series(order).coeffs,
-    "r113": lambda order: [quadforms.r113(n) for n in range(order + 1)],
-    "r133": lambda order: [quadforms.r133(n) for n in range(order + 1)],
+    "r113": lambda order: quadforms.ternary_series(1, order).coeffs,
+    "r133": lambda order: quadforms.ternary_series(3, order).coeffs,
 }
 
 

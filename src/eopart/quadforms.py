@@ -1,9 +1,10 @@
 """Ternary form representation numbers, the coefficient families A(n),
 a(n), b(n), and imaginary-quadratic class numbers by reduced-form count.
 
-The lattice loops are the oracles; theta-product series give the same
-families at scale (verify module cross-checks both).  All loop bounds come
-from integer square roots, never floating point.
+The lattice loops (one ternary loop for r113/r133, and A_direct) are the
+pointwise oracles; theta products give the same families at scale
+(ternary_series, f_series), and the verify module cross-checks both.
+All loop bounds come from integer square roots, never floating point.
 """
 
 from __future__ import annotations
@@ -13,39 +14,39 @@ import math
 from dataclasses import dataclass
 
 from .arith import factorize, is_square, is_squarefree
-from .series import Series, eta_factor, mul, power, theta
+from .series import Series, eta_factor, mul, power, substitute, theta
+
+
+def _ternary(n: int, b: int) -> int:
+    """Number of integer triples with x^2 + b y^2 + 3 z^2 = n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    total = 0
+    for z in range(math.isqrt(n // 3) + 1):
+        wz = 2 if z else 1
+        rem = n - 3 * z * z
+        for y in range(math.isqrt(rem // b) + 1):
+            wy = 2 if y else 1
+            ok, x = is_square(rem - b * y * y)
+            if ok:
+                total += wz * wy * (2 if x else 1)
+    return total
 
 
 def r113(n: int) -> int:
     """Number of integer triples with x^2 + y^2 + 3 z^2 = n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    total = 0
-    for z in range(math.isqrt(n // 3) + 1):
-        wz = 2 if z else 1
-        rem = n - 3 * z * z
-        for y in range(math.isqrt(rem) + 1):
-            wy = 2 if y else 1
-            ok, x = is_square(rem - y * y)
-            if ok:
-                total += wz * wy * (2 if x else 1)
-    return total
+    return _ternary(n, 1)
 
 
 def r133(n: int) -> int:
     """Number of integer triples with x^2 + 3 y^2 + 3 z^2 = n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    total = 0
-    for z in range(math.isqrt(n // 3) + 1):
-        wz = 2 if z else 1
-        rem = n - 3 * z * z
-        for y in range(math.isqrt(rem // 3) + 1):
-            wy = 2 if y else 1
-            ok, x = is_square(rem - 3 * y * y)
-            if ok:
-                total += wz * wy * (2 if x else 1)
-    return total
+    return _ternary(n, 3)
+
+
+def ternary_series(b: int, order: int) -> Series:
+    """sum r(n) q^n for x^2 + b y^2 + 3 z^2: theta(q) theta(q^b) theta(q^3)."""
+    t = theta("square", order)
+    return mul(mul(t, substitute(t, b)), substitute(t, 3))
 
 
 def A_direct(n: int) -> int:

@@ -21,14 +21,12 @@ import numpy as np
 
 ThetaKind = Literal["square", "square_alt", "pent3", "pent3_alt", "octic", "octic_alt"]
 
-THETA_KINDS: tuple[ThetaKind, ...] = (
-    "square",
-    "square_alt",
-    "pent3",
-    "pent3_alt",
-    "octic",
-    "octic_alt",
-)
+# Exponent e(n) of each kind's term; the *_alt kinds add the sign (-1)^n.
+_THETA_EXPONENTS = {
+    "square": lambda n: n * n,
+    "pent3": lambda n: (3 * n * n - n) // 2,
+    "octic": lambda n: 3 * n * n - n,
+}
 
 
 class Series:
@@ -57,9 +55,6 @@ class Series:
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return Series(self.coeffs[: order + 1], order)
-
-    def nonzeros(self) -> list[tuple[int, int]]:
-        return [(i, v) for i, v in enumerate(self.coeffs) if v]
 
     def __eq__(self, other) -> bool:
         return (
@@ -133,14 +128,8 @@ def eta_product(k: int, order: int) -> Series:
 def _theta_terms(kind: ThetaKind, order: int):
     """Yield (exponent, sign) for all integer n with exponent <= order."""
     alt = kind.endswith("_alt")
-    base = kind.removesuffix("_alt")
-    if base == "square":
-        expo = lambda n: n * n
-    elif base == "pent3":
-        expo = lambda n: (3 * n * n - n) // 2
-    elif base == "octic":
-        expo = lambda n: 3 * n * n - n
-    else:
+    expo = _THETA_EXPONENTS.get(kind.removesuffix("_alt"))
+    if expo is None:
         raise ValueError(f"unknown theta kind {kind!r}")
     yield 0, 1
     n = 1

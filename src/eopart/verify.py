@@ -182,15 +182,18 @@ def verify_eobar_oracle(n_max: int = 60) -> VerificationReport:
 
 
 def verify_r113_A(n_max: int = 5000) -> VerificationReport:
-    """4 A(n) = r113(n) on the support, A = 0 elsewhere, both lattice routes."""
+    """4 A(n) = r113(n) on the support, A = 0 elsewhere: r113 from the theta
+    product, A from its lattice loop; the r113 loop checks n <= 500."""
+    r113 = quadforms.ternary_series(1, n_max).coeffs
     for n in range(n_max + 1):
-        r = quadforms.r113(n)
-        direct = quadforms.A_direct(n)
+        r, direct = r113[n], quadforms.A_direct(n)
         if n % 12 == 2:
-            if r != 4 * direct or quadforms.A_coeff(n) != direct:
+            if r != 4 * direct:
                 return _report("r113-A", f"n <= {n_max}", {"n": n, "r113": r, "direct": direct})
-        elif direct != 0 or quadforms.A_coeff(n) != 0:
+        elif direct != 0:
             return _report("r113-A", f"n <= {n_max}", {"n": n, "direct": direct})
+        if n <= 500 and (loop := quadforms.r113(n)) != r:
+            return _report("r113-A", f"n <= {n_max}", {"n": n, "r113": r, "loop": loop})
     return _report("r113-A", f"n <= {n_max}")
 
 
@@ -292,6 +295,8 @@ def verify_classification(n_max: int = 100_000) -> VerificationReport:
     A(n) comes from the theta-product series (spot-checked against the
     lattice loop in verify_r113_A below 5000).
     """
+    if n_max < 2:
+        return _report("classification", f"n <= {n_max}")
     order = (n_max - 2) // 12
     f = quadforms.f_series(order)
     for k in range(order + 1):
@@ -438,6 +443,8 @@ def gamma_count(A: int, B: int, N: int) -> tuple[int, float]:
         raise ValueError("need A > B >= 1")
     if math.gcd(A, B) != 1:
         raise ValueError(f"gcd({A},{B}) != 1")
+    if N < 2:
+        raise ValueError(f"gamma_count needs N >= 2 (log N in the reference), got N = {N}")
     count = 0
     for n in range(N + 1):
         fac = factorize(A * n + B)

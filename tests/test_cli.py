@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from eopart import quadforms
 from eopart.cli import main
 from eopart.quadforms import b_series_theta
 from eopart.series import eta_quotient_mod
@@ -35,10 +36,15 @@ class TestTable:
         assert code == 0
         assert parse_csv(out)[14] == {"n": "14", "value": "2"}
 
-    def test_r113(self, capsys):
-        code, out, _ = run(capsys, "table", "--series", "r113", "--order", "2")
+    @pytest.mark.parametrize("series", ["r113", "r133"])
+    def test_r113(self, capsys, series):
+        # the table is the theta product; every row must equal the lattice loop
+        code, out, _ = run(capsys, "table", "--series", series, "--order", "400")
         assert code == 0
-        assert parse_csv(out)[2] == {"n": "2", "value": "4"}
+        loop = getattr(quadforms, series)
+        assert [(int(r["n"]), int(r["value"])) for r in parse_csv(out)] == [
+            (n, loop(n)) for n in range(401)
+        ]
 
     def test_csv_json_parity(self, capsys):
         _, csv_out, _ = run(capsys, "table", "--series", "b", "--order", "12")

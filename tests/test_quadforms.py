@@ -5,6 +5,7 @@ from eopart.quadforms import (
     A_direct,
     Mod4Class,
     ReducedForm,
+    _ternary,
     a_coeff,
     b_coeff,
     b_series,
@@ -15,6 +16,7 @@ from eopart.quadforms import (
     r113,
     r133,
     reduced_forms,
+    ternary_series,
 )
 
 
@@ -44,6 +46,12 @@ class TestRepresentationNumbers:
                 if x * x + y * y + 3 * z * z == n
             )
             assert r113(n) == count, n
+
+
+class TestTernarySeries:
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_theta_product_matches_loop(self, b):
+        assert ternary_series(b, 600).coeffs == [_ternary(n, b) for n in range(601)]
 
 
 class TestACoefficients:

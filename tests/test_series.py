@@ -82,8 +82,9 @@ class TestTheta:
         assert [n for n, v in enumerate(s.coeffs) if v] == [0, 2, 4, 10, 14]
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            theta("cubic", 4)
+        for kind in ("cubic", "bogus", "cubic_alt"):
+            with pytest.raises(ValueError, match="unknown theta kind"):
+                theta(kind, 5)
 
 
 class TestMul:

@@ -116,6 +116,11 @@ class TestSuites:
     def test_classification(self):
         assert V.verify_classification(5000).passed
 
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_classification_empty_range(self, n_max):
+        rep = V.verify_classification(n_max)
+        assert rep.passed and rep.range_checked == f"n <= {n_max}"
+
     def test_eobar_A(self):
         rep = V.verify_eobar_equals_A(400)
         assert rep.passed
@@ -182,6 +187,12 @@ class TestGammaCount:
         with pytest.raises(ValueError, match="gcd"):
             V.gamma_count(4, 2, 10)
 
+    @pytest.mark.parametrize("N", [1, 0, -3])
+    def test_small_N_refused(self, N):
+        # log N is 0 or undefined below 2: a clean refusal, not a math error
+        with pytest.raises(ValueError, match=f"N = {N}"):
+            V.gamma_count(6, 1, N)
+
 
 class TestRunner:
     def test_run_all_serial_in_name_order(self, monkeypatch):
@@ -208,9 +219,8 @@ class TestRunner:
         assert V.run_suite("families", order=0)[0].range_checked == "order 0"
 
     def test_run_suite_names_cover_registry(self):
+        # every suite runs at tiny bounds, the empty ranges 0 and 1 included
         for name in V.SUITES:
-            # run with tiny limits just to exercise dispatch
-            if name in ("classification", "families"):
-                continue
-            reps = V.run_suite(name, limit=20)
-            assert all(isinstance(r, V.VerificationReport) for r in reps)
+            for n in (0, 1, 20):
+                reps = V.run_suite(name, limit=n, order=n)
+                assert reps and all(isinstance(r, V.VerificationReport) for r in reps)

@@ -44,7 +44,10 @@ def _emit(record: dict, fmt: str, out: str | None) -> int:
         buf = io.StringIO()
         rows = record["rows"]
         if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+            # suites report different details: every key gets a column, in
+            # first-seen order, and a row without it leaves the cell empty
+            fields = list(dict.fromkeys(k for row in rows for k in row))
+            writer = csv.DictWriter(buf, fieldnames=fields)
             writer.writeheader()
             writer.writerows(rows)
         text = buf.getvalue()

@@ -78,7 +78,8 @@ def A_coeff(n: int) -> int:
     if n % 12 != 2:
         return 0
     r = r113(n)
-    assert r % 4 == 0, f"r113({n}) = {r} not divisible by 4"
+    if r % 4:
+        raise ArithmeticError(f"r113({n}) = {r} is not divisible by 4")
     return r // 4
 
 

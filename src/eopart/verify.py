@@ -160,7 +160,11 @@ def verify_triple_products(order: int = 2000) -> VerificationReport:
 
 
 def verify_eobar_oracle(n_max: int = 60) -> VerificationReport:
-    """Series vs enumeration, vanishing on odd n, and the mod-4 eta form."""
+    """Series vs enumeration, vanishing on odd n, and the mod-4 eta form.
+
+    For n <= 40 the restricted walk's count must also equal the count of
+    even-below-odd partitions that pass the membership rule.
+    """
     ser = partitions.eobar_series(n_max)
     for n in range(n_max + 1):
         enum = partitions.eobar_count_enum(n)
@@ -170,8 +174,12 @@ def verify_eobar_oracle(n_max: int = 60) -> VerificationReport:
             )
         if n % 2 == 1 and enum != 0:
             return _report("eobar-oracle", f"n <= {n_max}", {"n": n, "odd_value": enum})
-        if n <= 40 and enum > partitions.eo_count(n):
-            return _report("eobar-oracle", f"n <= {n_max}", {"n": n, "exceeds_eo": enum})
+        if n <= 40:
+            filtered = sum(map(partitions._is_eobar, partitions.eo_partitions(n)))
+            if enum != filtered:
+                return _report(
+                    "eobar-oracle", f"n <= {n_max}", {"n": n, "enum": enum, "filtered": filtered}
+                )
     j2j4 = mul(power(eta_factor(2, n_max), 2), eta_factor(4, n_max))
     if mod_reduce(ser, 4) != mod_reduce(j2j4, 4):
         n = next(
@@ -292,8 +300,11 @@ def verify_lemmas_3_2_to_3_5(p: int, n_max: int = 50) -> VerificationReport:
 def verify_classification(n_max: int = 100_000) -> VerificationReport:
     """Certificate class equals A(n) mod 4 for every n = 2 mod 12 up to n_max.
 
-    A(n) comes from the theta-product series (spot-checked against the
-    lattice loop in verify_r113_A below 5000).
+    A(n) is read from the theta-product series f_series, which this suite
+    takes as given: it checks that the class certified from the factorization
+    of n matches A(n) mod 4 and that the certificate's witness reconstructs
+    n.  No suite compares f_series with the A_direct lattice loop; the unit
+    tests do, for 12k + 2 with k <= 40.
     """
     if n_max < 2:
         return _report("classification", f"n <= {n_max}")

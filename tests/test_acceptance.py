@@ -58,7 +58,7 @@ def test_criterion_03_oracle_equivalence():
             assert s.c(n) == partitions.eobar_count_enum(n), n
         for n in range(5001):
             if n % 12 == 2:
-                assert 4 * quadforms.A_coeff(n) == quadforms.r113(n), n
+                assert 4 * quadforms.A_direct(n) == quadforms.r113(n), n
             else:
                 assert quadforms.A_direct(n) == 0, n
 

@@ -157,6 +157,20 @@ class TestVerify:
         assert record["rows"][0]["suite"] == "triple-product"
         assert "[PASS] triple-product" in err
 
+    def test_all_suites_to_csv(self, capsys, tmp_path):
+        # suites carry different detail keys; the CSV takes their union
+        path = tmp_path / "all.csv"
+        code, _, _ = run(
+            capsys,
+            "verify", "--suite", "all", "--limit", "20", "--order", "100", "--out", str(path),
+        )
+        assert code == 1
+        rows = parse_csv(path.read_text())
+        assert len(rows) == 18
+        h6p = [r for r in rows if r["suite"] == "h6p"]
+        assert h6p[0]["passed"] == "False" and h6p[0]["holds_for_p_1_mod_6"] == "True"
+        assert all(r["holds_for_p_1_mod_6"] == "" for r in rows if r["suite"] != "h6p")
+
     @pytest.mark.parametrize("bound", ["--limit", "--order"])
     def test_negative_bound_refused(self, capsys, bound):
         code, out, err = run(capsys, "verify", "--suite", "genus", bound, "-5")

@@ -5,6 +5,7 @@ from eopart.partitions import (
     eo_count,
     eo_partitions,
     eobar_count_enum,
+    eobar_partitions,
     eobar_series,
     eobar_series_mod,
     partitions_desc,
@@ -123,6 +124,20 @@ def test_eo_partitions_match_brute_force():
         assert len(walked) == len(set(walked)), n
         assert all(list(p) == sorted(p, reverse=True) for p in walked), n
         assert set(walked) == {p for p in partitions_desc(n) if _is_eo(p)}, n
+
+
+def test_eobar_partitions_match_brute_force():
+    # the restricted walk against the membership rule over every partition
+    for n in range(26):
+        walked = list(eobar_partitions(n))
+        assert len(walked) == len(set(walked)), n
+        assert all(list(p) == sorted(p, reverse=True) for p in walked), n
+        assert set(walked) == {p for p in partitions_desc(n) if _is_eobar(p)}, n
+
+
+def test_eobar_partitions_pass_membership_rule():
+    for n in range(ENUM_GUARD + 1):
+        assert all(map(_is_eobar, eobar_partitions(n))), n
 
 
 @pytest.mark.parametrize(

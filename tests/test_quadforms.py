@@ -1,5 +1,6 @@
 import pytest
 
+from eopart import quadforms
 from eopart.quadforms import (
     A_coeff,
     A_direct,
@@ -72,6 +73,12 @@ class TestACoefficients:
                 assert A_coeff(n) == A_direct(n), n
             else:
                 assert A_direct(n) == 0, n
+
+    def test_non_multiple_of_four_raises(self, monkeypatch):
+        # an explicit check, not an assert that python -O would strip
+        monkeypatch.setattr(quadforms, "r113", lambda n: 6)
+        with pytest.raises(ArithmeticError, match=r"r113\(14\) = 6"):
+            A_coeff(14)
 
     def test_a_coeff(self):
         assert a_coeff(0) == 1  # A(2)

@@ -4,6 +4,7 @@ import threading
 import pytest
 
 import eopart.verify as V
+from eopart import partitions
 from eopart.partitions import eobar_series_mod
 
 
@@ -86,6 +87,15 @@ class TestSuites:
 
     def test_eobar_oracle(self):
         assert V.verify_eobar_oracle(30).passed
+
+    def test_eobar_oracle_catches_a_dropped_partition(self, monkeypatch):
+        walk = partitions.eobar_partitions
+        monkeypatch.setattr(
+            partitions, "eobar_partitions", lambda n: (p for p in walk(n) if p != (4, 2, 2))
+        )
+        rep = V.verify_eobar_oracle(30)
+        assert not rep.passed
+        assert rep.counterexample["n"] == 8
 
     def test_r113_A(self):
         assert V.verify_r113_A(400).passed

@@ -87,14 +87,12 @@ def one(order: int) -> Series:
 def eta_factor(k: int, order: int) -> Series:
     """Truncated product prod_{n>=1} (1 - q^{kn}), exact at any order.
 
-    Built from Euler's pentagonal expansion (pentagonal_terms), which has
-    O(sqrt(order / k)) nonzero terms.  The triple-product suite checks that
-    expansion against the honest product, eta_product, at small order.
+    Euler's pentagonal expansion J_k = sum_j (-1)^j q^{k j(3j-1)/2}, read
+    from theta_terms("pent3_alt", order, k): O(sqrt(order / k)) nonzero
+    terms.  The triple-product suite checks that expansion against the
+    honest product, eta_product, at small order.
     """
-    exps, signs = pentagonal_terms(k, order)
-    c = np.zeros(order + 1, dtype=np.int64)
-    c[exps] = signs
-    return Series(c.tolist(), order)
+    return _dense(theta_terms("pent3_alt", order, k), order)
 
 
 def eta_product(k: int, order: int) -> Series:
@@ -125,38 +123,42 @@ def eta_product(k: int, order: int) -> Series:
     return Series(c.tolist(), order)
 
 
-def _theta_terms(kind: ThetaKind, order: int):
-    """Yield (exponent, sign) for all integer n with exponent <= order."""
-    alt = kind.endswith("_alt")
+def theta_terms(kind: ThetaKind, order: int, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(exponents, signs) of sum_{n in Z} (+-1)^n q^{k e(n)} through order.
+
+    The one builder of every lacunary series here: theta, eta_factor and
+    the J_k of eta_quotient_mod all read their terms from it.  kinds:
+    square -> e(n)=n^2; pent3 -> e(n)=(3n^2-n)/2; octic -> e(n)=3n^2-n;
+    the *_alt variants carry the sign (-1)^n.  One entry per n, so an
+    exponent hit by n and -n (the square kinds) appears twice.  Refused
+    with ValueError: an unknown kind, k < 1 and order < 0.
+    """
     expo = _THETA_EXPONENTS.get(kind.removesuffix("_alt"))
     if expo is None:
         raise ValueError(f"unknown theta kind {kind!r}")
-    yield 0, 1
-    n = 1
-    while True:
-        sign = -1 if (alt and n % 2) else 1
-        e_pos, e_neg = expo(n), expo(-n)
-        if e_pos > order and e_neg > order:
-            break
-        if e_pos <= order:
-            yield e_pos, sign
-        if e_neg <= order:
-            yield e_neg, sign
-        n += 1
+    if k < 1:
+        raise ValueError("theta dilation needs k >= 1")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    # e(n) >= n^2 for every kind, so k e(n) <= order needs |n| <= isqrt(order // k)
+    n = np.arange(-isqrt(order // k), isqrt(order // k) + 1)
+    exps = k * expo(n)
+    keep = exps <= order
+    signs = np.where(n % 2, -1, 1) if kind.endswith("_alt") else np.ones_like(n)
+    return exps[keep], signs[keep]
+
+
+def _dense(terms: tuple[np.ndarray, np.ndarray], order: int) -> Series:
+    """Series of order `order` holding the sum of the (exponent, sign) terms."""
+    c = [0] * (order + 1)
+    for e, s in zip(*(t.tolist() for t in terms)):
+        c[e] += s
+    return Series(c, order)
 
 
 def theta(kind: ThetaKind, order: int) -> Series:
-    """Lacunary theta series sum_{n in Z} (+-1)^n q^{e(n)} truncated at order.
-
-    kinds: square -> e(n)=n^2; pent3 -> e(n)=(3n^2-n)/2; octic -> e(n)=3n^2-n;
-    the *_alt variants carry the sign (-1)^n.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    c = [0] * (order + 1)
-    for e, s in _theta_terms(kind, order):
-        c[e] += s
-    return Series(c, order)
+    """Lacunary theta series sum_{n in Z} (+-1)^n q^{e(n)} through order (kinds: theta_terms)."""
+    return _dense(theta_terms(kind, order), order)
 
 
 def mul(a: Series, b: Series) -> Series:
@@ -244,25 +246,12 @@ def mod_reduce(a: Series, m: int) -> Series:
 # Reduced (mod m) fast path.
 #
 # At congruence-only scale (order ~10^6) every coefficient lives reduced
-# mod m.  Eta factors enter through Euler's pentagonal expansion
-# J_k = sum_j (-1)^j q^{k j(3j-1)/2}; every product is one FFT convolution
-# (_mul_mod) and every quotient one Newton inversion (_inv_mod), O(N log N)
-# for any modulus.  The exact Series routines above are its oracle.
+# mod m.  Each eta factor J_k = sum_j (-1)^j q^{k j(3j-1)/2} is scattered
+# from theta_terms("pent3_alt", order, k), the builder eta_factor reads;
+# every product is one FFT convolution (_mul_mod) and every quotient one
+# Newton inversion (_inv_mod), O(N log N) for any modulus.  The exact
+# Series routines above are its oracle.
 # ---------------------------------------------------------------------------
-
-
-def pentagonal_terms(k: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(exponents, signs) of J_k through the given order, exponents ascending."""
-    if k < 1:
-        raise ValueError("eta factor needs k >= 1")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    # k j(3j-1)/2 >= k j^2 for every integer j, so |j| <= isqrt(order // k)
-    j = np.arange(-isqrt(order // k), isqrt(order // k) + 1)
-    exps = k * j * (3 * j - 1) // 2
-    idx = np.flatnonzero(exps <= order)
-    idx = idx[np.argsort(exps[idx])]
-    return exps[idx], np.where(j[idx] % 2, -1, 1)
 
 
 # Exactness budget: a float64 FFT convolution rounds to the exact integers
@@ -321,7 +310,7 @@ def eta_quotient_mod(
     Returns an int64 array of least nonnegative residues.  Each power of a
     factor is one _mul_mod and the denominator is removed by one _inv_mod.
     Refused with ValueError: m < 2, m > 2^62 (the Horner doubling in
-    _mul_mod would overflow int64), order < 0 and a negative exponent.
+    _mul_mod would overflow int64), order < 0, a negative exponent, k < 1.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
@@ -329,14 +318,13 @@ def eta_quotient_mod(
         raise ValueError(f"modulus {m} overflows int64: the kernel needs m <= 2^62")
     if order < 0 or min((*num_powers.values(), *den_powers.values()), default=0) < 0:
         raise ValueError("order and eta exponents must be >= 0")
-    terms = {k: pentagonal_terms(k, order) for k in (*num_powers, *den_powers)}
 
     def product(powers: dict[int, int]) -> np.ndarray:
         factors = []
         for k, e in powers.items():
             j = np.zeros(order + 1, dtype=np.int64)
-            j[terms[k][0]] = terms[k][1] % m
-            factors += [j] * e
+            np.add.at(j, *theta_terms("pent3_alt", order, k))
+            factors += [j % m] * e
         if not factors:
             return np.eye(1, order + 1, dtype=np.int64)[0]
         return reduce(lambda x, y: _mul_mod(x, y, m), factors)

@@ -9,6 +9,7 @@ asserted.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -55,6 +56,17 @@ def _report(suite, rng, counterexample=None, **details):
     return VerificationReport(suite, rng, counterexample is None, counterexample, details)
 
 
+def _first_difference(a, b) -> int | None:
+    """Index of the first position where the sequences a and b differ, else None."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+def _first_nonzero_mod(coeffs_mod: np.ndarray, A: int, B: int, n_max: int, m: int) -> int | None:
+    """Least n <= n_max with coeffs_mod[A n + B] not 0 mod m, else None."""
+    bad = np.flatnonzero(coeffs_mod[B::A][: max(n_max + 1, 0)] % m)
+    return int(bad[0]) if len(bad) else None
+
+
 # --- Ramanujan-type families ------------------------------------------------
 
 
@@ -95,22 +107,23 @@ def check_family(
     fam: CongruenceFamily, n_max: int, coeffs_mod: np.ndarray | None = None
 ) -> VerificationReport:
     """Check the family's congruence for 0 <= n <= n_max via the series path."""
+    A, B, m = fam.modulus_A, fam.residue_B, fam.congruence_modulus
+    if A < 1 or B < 0 or not 2 <= m <= 1 << 62:
+        raise ValueError(f"family needs A >= 1, B >= 0 and 2 <= m <= 2^62, got {A}n+{B} mod {m}")
     need = fam.argument(n_max)
     if coeffs_mod is None:
-        coeffs_mod = partitions.eobar_series_mod(need, fam.congruence_modulus)
+        coeffs_mod = partitions.eobar_series_mod(need, m)
     elif len(coeffs_mod) <= need:
         raise ValueError(
             f"truncation {len(coeffs_mod) - 1} too small; family needs order {need}"
         )
-    name = f"family({fam.modulus_A}n+{fam.residue_B})"
-    for n in range(n_max + 1):
-        v = int(coeffs_mod[fam.argument(n)]) % fam.congruence_modulus
-        if v != 0:
-            return _report(
-                name,
-                f"n <= {n_max}",
-                {"n": n, "argument": fam.argument(n), "value_mod": v},
-            )
+    name = f"family({A}n+{B})"
+    n = _first_nonzero_mod(coeffs_mod, A, B, n_max, m)
+    if n is not None:
+        arg = fam.argument(n)
+        return _report(
+            name, f"n <= {n_max}", {"n": n, "argument": arg, "value_mod": int(coeffs_mod[arg]) % m}
+        )
     return _report(name, f"n <= {n_max}")
 
 
@@ -130,7 +143,7 @@ def scan_congruences(
     found = []
     for A in range(1, a_max + 1):
         for B in range(A):
-            if all(int(coeffs_mod[A * n + B]) % 4 == 0 for n in range(n_max + 1)):
+            if _first_nonzero_mod(coeffs_mod, A, B, n_max, 4) is None:
                 trivial = A % 2 == 0 and B % 2 == 1
                 found.append(CongruenceFamily(A, B, 4, "scanned", trivial=trivial))
     return found
@@ -149,12 +162,10 @@ def verify_triple_products(order: int = 2000) -> VerificationReport:
     j2 = eta_product(2, order)
     lhs1 = mul(theta("square_alt", order), j2)
     rhs1 = power(j1, 2)
-    if lhs1 != rhs1:
-        n = next(i for i, (a, b) in enumerate(zip(lhs1.coeffs, rhs1.coeffs)) if a != b)
+    if (n := _first_difference(lhs1.coeffs, rhs1.coeffs)) is not None:
         return _report("triple-product", f"order {order}", {"identity": 1, "n": n})
     lhs2 = theta("pent3_alt", order)
-    if lhs2 != j1:
-        n = next(i for i, (a, b) in enumerate(zip(lhs2.coeffs, j1.coeffs)) if a != b)
+    if (n := _first_difference(lhs2.coeffs, j1.coeffs)) is not None:
         return _report("triple-product", f"order {order}", {"identity": 2, "n": n})
     return _report("triple-product", f"order {order}")
 
@@ -181,10 +192,7 @@ def verify_eobar_oracle(n_max: int = 60) -> VerificationReport:
                     "eobar-oracle", f"n <= {n_max}", {"n": n, "enum": enum, "filtered": filtered}
                 )
     j2j4 = mul(power(eta_factor(2, n_max), 2), eta_factor(4, n_max))
-    if mod_reduce(ser, 4) != mod_reduce(j2j4, 4):
-        n = next(
-            i for i in range(n_max + 1) if ser.c(i) % 4 != j2j4.c(i) % 4
-        )
+    if (n := _first_difference(mod_reduce(ser, 4).coeffs, mod_reduce(j2j4, 4).coeffs)) is not None:
         return _report("eobar-oracle", f"n <= {n_max}", {"n": n, "mod4_eta_form": True})
     return _report("eobar-oracle", f"n <= {n_max}")
 
@@ -258,11 +266,10 @@ def verify_genus(n_max: int = 2000) -> VerificationReport:
 
 
 def verify_hecke(p: int, n_max: int = 200) -> VerificationReport:
-    """A(p^2 n) + (-3n/p) A(n) + p A(n/p^2) = (p+1) A(n) for gcd(p,6n)=1."""
+    """A(p^2 n) + (-3n/p) A(n) + p A(n/p^2) = (p+1) A(n) for every n = 2 mod 12,
+    p | n included: there (-3n/p) = 0, and the last term counts once p^2 | n."""
     name = f"hecke(p={p})"
     for n in range(2, n_max + 1, 12):
-        if n % p == 0:
-            continue
         lhs = quadforms.A_direct(p * p * n) + legendre(-3 * n, p) * quadforms.A_direct(n)
         if n % (p * p) == 0:
             lhs += p * quadforms.A_direct(n // (p * p))
@@ -358,8 +365,7 @@ def verify_a_eq_b(n_max: int = 2000) -> VerificationReport:
     """a(n) = b(n) mod 4, with b from both the eta and theta products."""
     b = quadforms.b_series(n_max)
     b_theta = quadforms.b_series_theta(n_max)
-    if b != b_theta:
-        n = next(i for i in range(n_max + 1) if b.c(i) != b_theta.c(i))
+    if (n := _first_difference(b.coeffs, b_theta.coeffs)) is not None:
         return _report("a-eq-b", f"n <= {n_max}", {"n": n, "b_route_mismatch": True})
     f = quadforms.f_series(n_max)
     for n in range(n_max + 1):
@@ -373,11 +379,11 @@ def verify_a_eq_b(n_max: int = 2000) -> VerificationReport:
 def theorem_families(
     prime_pool: tuple[int, ...] = (5, 7, 11, 13), max_k: int = 1
 ) -> list[CongruenceFamily]:
-    """Every admissible family with primes from the pool and k <= max_k."""
+    """Every admissible family with k + 1 pool primes, 0 <= k <= max_k; refuses max_k < 0."""
+    if max_k < 0:
+        raise ValueError(f"max_k must be >= 0, got {max_k}")
     fams = []
-    tuples = [(p,) for p in prime_pool]
-    if max_k >= 1:
-        tuples += [(p1, p2) for p1 in prime_pool for p2 in prime_pool]
+    tuples = (t for r in range(1, max_k + 2) for t in itertools.product(prime_pool, repeat=r))
     for primes in tuples:
         p_last = primes[-1]
         for j in range(1, p_last):

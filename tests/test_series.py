@@ -16,15 +16,39 @@ from eopart.series import (
     mod_reduce,
     mul,
     one,
-    pentagonal_terms,
     power,
     substitute,
     theta,
+    theta_terms,
 )
 
 small_series = st.builds(
     Series, st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=12)
 )
+KINDS = ("square", "square_alt", "pent3", "pent3_alt", "octic", "octic_alt")
+
+
+def definition_sum(kind, order, k=1):
+    """sum_{n in Z} (+-1)^n q^{k e(n)} through order, term by term."""
+    e = {
+        "square": lambda n: n * n,
+        "pent3": lambda n: n * (3 * n - 1) // 2,
+        "octic": lambda n: n * (3 * n - 1),
+    }[kind.removesuffix("_alt")]
+    c = [0] * (order + 1)
+    for n in range(-order, order + 1):  # e(n) >= |n|, so larger |n| never lands
+        if k * e(n) <= order:
+            c[k * e(n)] += (-1) ** n if kind.endswith("_alt") else 1
+    return c
+
+
+def scatter(terms, order):
+    c = [0] * (order + 1)
+    for e, s in zip(*terms):
+        c[e] += s
+    return c
+
+
 unit_series = st.builds(
     lambda head, tail: Series([head] + tail),
     st.sampled_from([1, -1]),
@@ -62,7 +86,7 @@ class TestEtaFactor:
         # the pentagonal route has no ceiling
         with pytest.raises(ValueError, match="guard"):
             eta_product(1, 6000)
-        assert eta_factor(1, 6000) == theta("pent3_alt", 6000)
+        assert eta_factor(1, 6000).coeffs == definition_sum("pent3_alt", 6000)
 
 
 class TestTheta:
@@ -85,6 +109,29 @@ class TestTheta:
         for kind in ("cubic", "bogus", "cubic_alt"):
             with pytest.raises(ValueError, match="unknown theta kind"):
                 theta(kind, 5)
+
+
+class TestThetaTerms:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [0, 1, 59, 400])
+    def test_matches_definition(self, kind, k, order):
+        assert scatter(theta_terms(kind, order, k), order) == definition_sum(kind, order, k)
+
+    def test_theta_and_eta_factor_scatter_it(self):
+        for kind in KINDS:
+            assert theta(kind, 100).coeffs == definition_sum(kind, 100)
+        for k in (1, 2, 5, 12):
+            assert eta_factor(k, 100).coeffs == definition_sum("pent3_alt", 100, k)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="unknown theta kind"):
+            theta_terms("cubic", 5)
+        for k in (0, -2):
+            with pytest.raises(ValueError):
+                theta_terms("square", 5, k)
+        with pytest.raises(ValueError):
+            theta_terms("pent3_alt", -1)
 
 
 class TestMul:
@@ -203,11 +250,7 @@ class TestModPath:
     def test_pentagonal_matches_product(self):
         # Euler's pentagonal expansion against the honest product
         for k in (1, 2, 4):
-            exps, signs = pentagonal_terms(k, 400)
-            dense = [0] * 401
-            for e, s in zip(exps, signs):
-                dense[e] += s
-            assert dense == eta_product(k, 400).coeffs
+            assert scatter(theta_terms("pent3_alt", 400, k), 400) == eta_product(k, 400).coeffs
 
     # the last two moduli need several FFT limbs per residue
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 2**31 - 1, 10**15 + 37])
@@ -242,6 +285,7 @@ class TestModPath:
             ({4: -1}, {}, 10, 4),
             ({4: 1}, {2: -2}, 10, 4),
             ({}, {}, -1, 4),
+            ({0: 1}, {}, 10, 4),
         ):
             with pytest.raises(ValueError):
                 eta_quotient_mod(*args)

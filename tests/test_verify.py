@@ -4,8 +4,9 @@ import threading
 import pytest
 
 import eopart.verify as V
-from eopart import partitions
+from eopart import partitions, quadforms
 from eopart.partitions import eobar_series_mod
+from eopart.series import Series
 
 
 class TestFamilyFromTheorem:
@@ -58,6 +59,22 @@ class TestCheckFamily:
         assert not rep.passed
         assert rep.counterexample == {"n": 1, "argument": 26, "value_mod": 2}
 
+    def test_counterexample_is_the_first_failure(self):
+        arr = eobar_series_mod(2000, 4)
+        fam = V.CongruenceFamily(12, 2)
+        bad = next(n for n in range(160) if arr[12 * n + 2] % 4)
+        rep = V.check_family(fam, 160, arr)
+        arg = 12 * bad + 2
+        assert rep.counterexample == {"n": bad, "argument": arg, "value_mod": int(arr[arg]) % 4}
+        assert V.check_family(fam, bad - 1, arr).passed
+
+    @pytest.mark.parametrize(
+        "A, B, m", [(0, 3, 4), (-5, 3, 4), (5, -3, 4), (5, 3, 0), (5, 3, 1), (5, 3, 2**64)]
+    )
+    def test_malformed_family_refused(self, A, B, m):
+        with pytest.raises(ValueError, match="A >= 1, B >= 0 and 2 <= m <= 2"):
+            V.check_family(V.CongruenceFamily(A, B, m), 5, eobar_series_mod(100, 4))
+
     def test_truncation_too_small(self):
         arr = eobar_series_mod(100, 4)
         with pytest.raises(ValueError, match="truncation"):
@@ -80,6 +97,33 @@ class TestScan:
     def test_a_max_one_empty(self):
         assert V.scan_congruences(1, 10) == []
 
+    def test_matches_pointwise_scan(self):
+        arr = eobar_series_mod(12 * 100 + 11, 4)
+        want = [(A, B) for A in range(1, 13) for B in range(A)
+                if all(arr[A * n + B] % 4 == 0 for n in range(101))]
+        found = V.scan_congruences(12, 100, arr)
+        assert [(f.modulus_A, f.residue_B) for f in found] == want
+        assert [f.trivial for f in found] == [A % 2 == 0 and B % 2 == 1 for A, B in want]
+
+
+class TestTheoremFamilies:
+    def test_default_is_max_k_one(self):
+        fams = V.theorem_families()
+        assert fams == V.theorem_families(max_k=1)
+        assert len(fams) == 115 and len(V.theorem_families(max_k=0)) == 23
+
+    def test_max_k_two_reaches_three_primes(self):
+        fams = V.theorem_families(max_k=2)
+        assert V.theorem_families() == fams[: len(V.theorem_families())]
+        f = V.family_from_theorem([5, 5, 5], 1)
+        assert (f.modulus_A, f.residue_B) == (15625, 8333)
+        assert f in fams
+        assert V.check_family(f, 4).passed
+
+    def test_negative_max_k_refused(self):
+        with pytest.raises(ValueError, match="max_k"):
+            V.theorem_families(max_k=-3)
+
 
 class TestSuites:
     def test_triple_product(self):
@@ -87,6 +131,20 @@ class TestSuites:
 
     def test_eobar_oracle(self):
         assert V.verify_eobar_oracle(30).passed
+
+    def test_triple_product_counterexample(self, monkeypatch):
+        theta = V.theta
+        monkeypatch.setattr(
+            V, "theta",
+            lambda kind, order: Series([*theta(kind, order).coeffs[:7], 9, *[0] * (order - 7)]),
+        )
+        assert V.verify_triple_products(50).counterexample == {"identity": 1, "n": 7}
+
+    def test_eobar_oracle_mod4_counterexample(self, monkeypatch):
+        eta = V.eta_factor
+        bump = lambda order: Series([1, 0, 0, 1, *[0] * (order - 3)])  # times 1 + q^3
+        monkeypatch.setattr(V, "eta_factor", lambda k, order: eta(k, order) * bump(order))
+        assert V.verify_eobar_oracle(20).counterexample == {"n": 3, "mod4_eta_form": True}
 
     def test_eobar_oracle_catches_a_dropped_partition(self, monkeypatch):
         walk = partitions.eobar_partitions
@@ -120,6 +178,15 @@ class TestSuites:
         assert V.verify_hecke(p, 150).passed
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_hecke_relation_where_p_divides_n(self, p):
+        # (-3n/p) = 0 here, and p A(n/p^2) counts once p^2 | n
+        A = quadforms.A_direct
+        for n in range(2, 2001, 12):
+            if n % p == 0:
+                p2_term = p * A(n // (p * p)) if n % (p * p) == 0 else 0
+                assert A(p * p * n) + p2_term == (p + 1) * A(n), n
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_lemmas(self, p):
         assert V.verify_lemmas_3_2_to_3_5(p, 50).passed
 
@@ -139,6 +206,12 @@ class TestSuites:
 
     def test_a_eq_b(self):
         assert V.verify_a_eq_b(400).passed
+
+    def test_a_eq_b_route_counterexample(self, monkeypatch):
+        b_theta = quadforms.b_series_theta
+        bump = lambda n: Series([1, *[0] * 10, 1, *[0] * (n - 11)])  # times 1 + q^11
+        monkeypatch.setattr(quadforms, "b_series_theta", lambda n: b_theta(n) * bump(n))
+        assert V.verify_a_eq_b(40).counterexample == {"n": 11, "b_route_mismatch": True}
 
     def test_families(self):
         rep = V.verify_families(30_000)

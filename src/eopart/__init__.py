@@ -9,17 +9,13 @@ from .arith import (
     is_square,
     is_squarefree,
     legendre,
-    squarefree_decompose,
 )
 from .partitions import eo_count, eobar_count_enum, eobar_series, eobar_series_mod
 from .quadforms import (
-    A_coeff,
     A_direct,
     Mod4Certificate,
     Mod4Class,
     ReducedForm,
-    a_coeff,
-    b_coeff,
     class_number,
     classify_mod4,
     r113,
@@ -29,8 +25,6 @@ from .quadforms import (
 from .series import (
     Series,
     eta_factor,
-    extract_progression,
-    invert,
     mod_reduce,
     mul,
     power,

@@ -138,18 +138,5 @@ def is_square(n: int) -> tuple[bool, int]:
     return (True, r) if r * r == n else (False, 0)
 
 
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = s * m^2 with s squarefree; returns (s, m)."""
-    if n < 1:
-        raise ValueError("squarefree_decompose requires n >= 1")
-    s = 1
-    m = 1
-    for p, e in factorize(n).factors:
-        if e % 2 == 1:
-            s *= p
-        m *= p ** (e // 2)
-    return s, m
-
-
 def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n).factors)

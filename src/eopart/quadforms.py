@@ -1,5 +1,6 @@
 """Ternary form representation numbers, the coefficient families A(n),
-a(n), b(n), and imaginary-quadratic class numbers by reduced-form count.
+a(n) = A(12n + 2), b(n), and imaginary-quadratic class numbers by
+reduced-form count.
 
 The lattice loops (one ternary loop for r113/r133, and A_direct) are the
 pointwise oracles; theta products give the same families at scale
@@ -71,23 +72,6 @@ def A_direct(n: int) -> int:
     return total
 
 
-def A_coeff(n: int) -> int:
-    """A(n) = r113(n)/4 for n = 2 mod 12, else 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n % 12 != 2:
-        return 0
-    r = r113(n)
-    if r % 4:
-        raise ArithmeticError(f"r113({n}) = {r} is not divisible by 4")
-    return r // 4
-
-
-def a_coeff(n: int) -> int:
-    """a(n) = A(12n + 2)."""
-    return A_coeff(12 * n + 2)
-
-
 def f_series(order: int) -> Series:
     """sum a(n) q^n as the theta product (sum q^{n^2})(sum q^{3n^2-n})^2."""
     return mul(theta("square", order), power(theta("octic", order), 2))
@@ -102,10 +86,6 @@ def b_series(order: int) -> Series:
 def b_series_theta(order: int) -> Series:
     """Same series through the alternating theta product (cross-check)."""
     return mul(theta("square_alt", order), power(theta("octic_alt", order), 2))
-
-
-def b_coeff(n: int) -> int:
-    return b_series(n).c(n)
 
 
 # --- binary quadratic forms -------------------------------------------------

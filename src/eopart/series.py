@@ -131,7 +131,8 @@ def theta_terms(kind: ThetaKind, order: int, k: int = 1) -> tuple[np.ndarray, np
     square -> e(n)=n^2; pent3 -> e(n)=(3n^2-n)/2; octic -> e(n)=3n^2-n;
     the *_alt variants carry the sign (-1)^n.  One entry per n, so an
     exponent hit by n and -n (the square kinds) appears twice.  Refused
-    with ValueError: an unknown kind, k < 1 and order < 0.
+    with ValueError: an unknown kind, k < 1 and order < 0.  Any k > order
+    leaves only q^0, so a k past int64 (2**64, say) is not an error.
     """
     expo = _THETA_EXPONENTS.get(kind.removesuffix("_alt"))
     if expo is None:
@@ -140,6 +141,7 @@ def theta_terms(kind: ThetaKind, order: int, k: int = 1) -> tuple[np.ndarray, np
         raise ValueError("theta dilation needs k >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
+    k = min(k, order + 1)  # e(n) >= 1 for n != 0: the same terms, int64-safe
     # e(n) >= n^2 for every kind, so k e(n) <= order needs |n| <= isqrt(order // k)
     n = np.arange(-isqrt(order // k), isqrt(order // k) + 1)
     exps = k * expo(n)
@@ -213,11 +215,6 @@ def divide(num: Series, den: Series) -> Series:
     return Series(s, order)
 
 
-def invert(a: Series) -> Series:
-    """Multiplicative inverse through the truncation order."""
-    return divide(one(a.order), a)
-
-
 def substitute(a: Series, m: int) -> Series:
     """Map sum c_n q^n to sum c_n q^{mn}, truncated at a's order."""
     if m < 1:
@@ -226,13 +223,6 @@ def substitute(a: Series, m: int) -> Series:
     for n in range(a.order // m + 1):
         res[m * n] = a.coeffs[n]
     return Series(res, a.order)
-
-
-def extract_progression(a: Series, r: int, m: int) -> list[int]:
-    """Coefficients [c_r, c_{r+m}, c_{r+2m}, ...] up to the truncation order."""
-    if not 0 <= r < m:
-        raise ValueError("need 0 <= r < m")
-    return a.coeffs[r :: m]
 
 
 def mod_reduce(a: Series, m: int) -> Series:

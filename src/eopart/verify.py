@@ -174,7 +174,8 @@ def verify_eobar_oracle(n_max: int = 60) -> VerificationReport:
     """Series vs enumeration, vanishing on odd n, and the mod-4 eta form.
 
     For n <= 40 the restricted walk's count must also equal the count of
-    even-below-odd partitions that pass the membership rule.
+    even-below-odd partitions that pass the membership rule.  The mod-4
+    form J_2^2 J_4 is read from eobar_series_mod, the fast path itself.
     """
     ser = partitions.eobar_series(n_max)
     for n in range(n_max + 1):
@@ -191,21 +192,25 @@ def verify_eobar_oracle(n_max: int = 60) -> VerificationReport:
                 return _report(
                     "eobar-oracle", f"n <= {n_max}", {"n": n, "enum": enum, "filtered": filtered}
                 )
-    j2j4 = mul(power(eta_factor(2, n_max), 2), eta_factor(4, n_max))
-    if (n := _first_difference(mod_reduce(ser, 4).coeffs, mod_reduce(j2j4, 4).coeffs)) is not None:
+    form = partitions.eobar_series_mod(n_max, 4).tolist()
+    if (n := _first_difference(mod_reduce(ser, 4).coeffs, form)) is not None:
         return _report("eobar-oracle", f"n <= {n_max}", {"n": n, "mod4_eta_form": True})
     return _report("eobar-oracle", f"n <= {n_max}")
 
 
 def verify_r113_A(n_max: int = 5000) -> VerificationReport:
     """4 A(n) = r113(n) on the support, A = 0 elsewhere: r113 from the theta
-    product, A from its lattice loop; the r113 loop checks n <= 500."""
+    product, A from its lattice loop; the r113 loop checks n <= 500.  On the
+    support the theta product f_series must give A(n) too."""
     r113 = quadforms.ternary_series(1, n_max).coeffs
+    f = quadforms.f_series(max(n_max - 2, 0) // 12).coeffs
     for n in range(n_max + 1):
         r, direct = r113[n], quadforms.A_direct(n)
         if n % 12 == 2:
             if r != 4 * direct:
                 return _report("r113-A", f"n <= {n_max}", {"n": n, "r113": r, "direct": direct})
+            if (a := f[n // 12]) != direct:
+                return _report("r113-A", f"n <= {n_max}", {"n": n, "f_series": a, "direct": direct})
         elif direct != 0:
             return _report("r113-A", f"n <= {n_max}", {"n": n, "direct": direct})
         if n <= 500 and (loop := quadforms.r113(n)) != r:
@@ -310,8 +315,8 @@ def verify_classification(n_max: int = 100_000) -> VerificationReport:
     A(n) is read from the theta-product series f_series, which this suite
     takes as given: it checks that the class certified from the factorization
     of n matches A(n) mod 4 and that the certificate's witness reconstructs
-    n.  No suite compares f_series with the A_direct lattice loop; the unit
-    tests do, for 12k + 2 with k <= 40.
+    n.  The r113-A suite checks f_series against the A_direct lattice loop
+    on its own range (n <= 5000 by default).
     """
     if n_max < 2:
         return _report("classification", f"n <= {n_max}")
@@ -339,8 +344,9 @@ def verify_eobar_equals_A(n_max: int = 2000) -> VerificationReport:
     """EO-bar(n) = A(6n+2) mod 4 for n <= n_max.
 
     Also records (report-only) whether the J_2^3 J_4 form matches
-    J_2^2 J_4 mod 4 on the range; the proof display with the cubed factor
-    fails coefficientwise, consistent with it being a typo.
+    J_2^2 J_4 mod 4 (read from eobar_series_mod) for n <= 200; the proof
+    display with the cubed factor fails coefficientwise, consistent with it
+    being a typo.
     """
     ser = partitions.eobar_series(n_max)
     order = (6 * n_max) // 12 + 1
@@ -352,12 +358,10 @@ def verify_eobar_equals_A(n_max: int = 2000) -> VerificationReport:
                 "eobar-A", f"n <= {n_max}", {"n": n, "eobar_mod4": ser.c(n) % 4, "A_mod4": want}
             )
     small = min(n_max, 200)
-    j2 = eta_factor(2, small)
-    j4 = eta_factor(4, small)
-    cubed = mod_reduce(mul(power(j2, 3), j4), 4)
-    squared = mod_reduce(mul(power(j2, 2), j4), 4)
+    cubed = mod_reduce(mul(power(eta_factor(2, small), 3), eta_factor(4, small)), 4)
+    squared = partitions.eobar_series_mod(small, 4).tolist()
     return _report(
-        "eobar-A", f"n <= {n_max}", j2cubed_matches_j2squared_mod4=(cubed == squared)
+        "eobar-A", f"n <= {n_max}", j2cubed_matches_j2squared_mod4=(cubed.coeffs == squared)
     )
 
 
@@ -422,6 +426,14 @@ def density_report(checkpoints: list[int]) -> list[dict]:
 
     The odd count is asserted against the sqrt(6N+1) bound (bound_ok); the
     2-mod-4 count is compared to its N/log N reference without assertion.
+
+    The reference is (pi^2/12) N/log N.  EO-bar(2k) = A(12k+2) mod 4 (odd
+    arguments give 0), and A(12k+2) = 2 mod 4 when 6k+1 = p^{4a+1} m^2 with
+    p = 5, 7 mod 8 and gcd(m, 6p) = 1; the a = 0 terms dominate.  Then
+    m^2 = 1 mod 6 forces p = 1 mod 3, so p lies in 2 of the 8 prime classes
+    mod 24, and 6k+1 <= 3N.  Summing over m prime to 6:
+    (1/4) sum 3N/(m^2 log N) = (3N/4)(pi^2/6)(3/4)(8/9)/log N
+    = (pi^2/12) N/log N.
     """
     if not checkpoints or min(checkpoints) < 2:
         raise ValueError("checkpoints must be >= 2")
@@ -443,7 +455,7 @@ def density_report(checkpoints: list[int]) -> list[dict]:
                 "ratio_zero_mod4": zero / N,
                 "odd_bound": bound,
                 "bound_ok": odd <= bound,
-                "two_mod4_reference": (math.pi**2 / 3) * N / math.log(N),
+                "two_mod4_reference": (math.pi**2 / 12) * N / math.log(N),
             }
         )
     return rows
@@ -518,7 +530,11 @@ def run_suite(name: str, limit: int | None = None, order: int | None = None) -> 
 
 
 def worker_count() -> int:
-    """Threads run_all uses: always 1, since the suites run serially."""
+    """Threads run_all uses: always 1, since the suites run serially.
+
+    Nothing in the package calls it; it is kept for eobench/worker.py,
+    which records it in each benchmark run's environment.
+    """
     return 1
 
 

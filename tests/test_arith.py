@@ -11,7 +11,6 @@ from eopart.arith import (
     is_square,
     is_squarefree,
     legendre,
-    squarefree_decompose,
 )
 
 
@@ -109,13 +108,6 @@ class TestSquares:
         assert is_square(49) == (True, 7)
         assert is_square(199) == (False, 0)
 
-    def test_squarefree_decompose(self):
-        assert squarefree_decompose(1) == (1, 1)
-        assert squarefree_decompose(18) == (2, 3)
-        assert squarefree_decompose(2 * 5**5 * 49) == (10, 25 * 7)
-
-    @given(st.integers(min_value=1, max_value=10**9))
-    def test_decompose_reconstructs(self, n):
-        s, m = squarefree_decompose(n)
-        assert s * m * m == n
-        assert is_squarefree(s)
+    def test_is_squarefree(self):
+        assert is_squarefree(1) and is_squarefree(30) and is_squarefree(3 * 5 * 7 * 11)
+        assert not is_squarefree(18) and not is_squarefree(2 * 5**5 * 49)

@@ -1,14 +1,10 @@
 import pytest
 
-from eopart import quadforms
 from eopart.quadforms import (
-    A_coeff,
     A_direct,
     Mod4Class,
     ReducedForm,
     _ternary,
-    a_coeff,
-    b_coeff,
     b_series,
     b_series_theta,
     class_number,
@@ -57,32 +53,25 @@ class TestTernarySeries:
 
 class TestACoefficients:
     def test_A2(self):
-        assert A_coeff(2) == 1
+        assert A_direct(2) == 1
 
     def test_off_support(self):
-        assert A_coeff(3) == 0
-        assert A_coeff(8) == 0
+        assert A_direct(3) == 0
+        assert A_direct(8) == 0
 
     def test_A14(self):
-        assert A_coeff(14) == 2
+        assert A_direct(14) == 2
 
     def test_direct_agrees_with_quarter_r113(self):
         for n in range(2, 1000):
             if n % 12 == 2:
                 assert 4 * A_direct(n) == r113(n), n
-                assert A_coeff(n) == A_direct(n), n
             else:
                 assert A_direct(n) == 0, n
 
-    def test_non_multiple_of_four_raises(self, monkeypatch):
-        # an explicit check, not an assert that python -O would strip
-        monkeypatch.setattr(quadforms, "r113", lambda n: 6)
-        with pytest.raises(ArithmeticError, match=r"r113\(14\) = 6"):
-            A_coeff(14)
-
     def test_a_coeff(self):
-        assert a_coeff(0) == 1  # A(2)
-        assert a_coeff(1) == 2  # A(14)
+        # a(n) = A(12n + 2): a(0) = A(2), a(1) = A(14)
+        assert f_series(1).coeffs == [1, 2]
 
     def test_f_series_matches_lattice(self):
         f = f_series(40)
@@ -92,8 +81,7 @@ class TestACoefficients:
 
 class TestBCoefficients:
     def test_b0_b1(self):
-        assert b_coeff(0) == 1
-        assert b_coeff(1) == -2
+        assert b_series(1).coeffs == [1, -2]
 
     def test_eta_and_theta_routes_agree(self):
         assert b_series(300) == b_series_theta(300)

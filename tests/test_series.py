@@ -11,8 +11,6 @@ from eopart.series import (
     eta_factor,
     eta_product,
     eta_quotient_mod,
-    extract_progression,
-    invert,
     mod_reduce,
     mul,
     one,
@@ -133,6 +131,13 @@ class TestThetaTerms:
         with pytest.raises(ValueError):
             theta_terms("pent3_alt", -1)
 
+    def test_dilation_beyond_int64(self):
+        # every term but q^0 lies past the order; k never reaches numpy
+        assert eta_factor(2**64, 5) == one(5)
+        for kind in KINDS:
+            assert scatter(theta_terms(kind, 7, 2**70), 7) == one(7).coeffs
+        assert eta_quotient_mod({2**63: 1}, {}, 5, 4).tolist() == [1, 0, 0, 0, 0, 0]
+
 
 class TestMul:
     def test_truncates_to_shorter(self):
@@ -159,22 +164,23 @@ class TestPower:
 
 
 class TestInvert:
+    # the inverse is divide(one(order), a)
     def test_geometric(self):
-        assert invert(Series([1, -1, 0])).coeffs == [1, 1, 1]
+        assert divide(one(2), Series([1, -1, 0])).coeffs == [1, 1, 1]
 
     def test_negative_unit(self):
-        assert invert(Series([-1, 0])).coeffs == [-1, 0]
+        assert divide(one(1), Series([-1, 0])).coeffs == [-1, 0]
 
     def test_inverse_eta_square(self):
-        assert invert(power(eta_factor(2, 4), 2)).coeffs == [1, 0, 2, 0, 5]
+        assert divide(one(4), power(eta_factor(2, 4), 2)).coeffs == [1, 0, 2, 0, 5]
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="non-invertible"):
-            invert(Series([2, 1]))
+            divide(one(1), Series([2, 1]))
 
     @given(unit_series)
     def test_two_sided_inverse(self, a):
-        assert mul(a, invert(a)) == one(a.order)
+        assert mul(a, divide(one(a.order), a)) == one(a.order)
 
 
 class TestSubstitute:
@@ -194,18 +200,6 @@ class TestSubstitute:
         lhs = substitute(mul(a, b), m)
         rhs = mul(substitute(a, m), substitute(b, m))
         assert lhs == rhs
-
-
-class TestExtractProgression:
-    def test_single_hit(self):
-        assert extract_progression(Series([0, 1, 2, 3, 4, 5]), 2, 12) == [2]
-
-    def test_whole_series(self):
-        assert extract_progression(Series([7]), 0, 1) == [7]
-
-    def test_bad_residue(self):
-        with pytest.raises(ValueError):
-            extract_progression(Series([1, 2]), 2, 2)
 
 
 class TestModReduce:
@@ -270,14 +264,14 @@ class TestModPath:
     @given(small_series, unit_series, st.integers(min_value=2, max_value=2**62))
     @settings(max_examples=60)
     def test_kernel_matches_exact(self, a, den, m):
-        # FFT product and Newton inverse against Series.mul and invert
+        # FFT product and Newton inverse against Series.mul and divide
         n = min(a.order, den.order) + 1
         f = mod_reduce(Series([1] + den.coeffs[1:n]), m)
         ra = np.array(mod_reduce(a, m).coeffs[:n], dtype=np.int64)
         rf = np.array(f.coeffs, dtype=np.int64)
         assert _mul_mod(ra, rf, m).tolist() == mod_reduce(mul(a, f), m).coeffs
         assert _mul_mod(ra, ra, m).tolist() == mod_reduce(mul(a, a), m).coeffs[:n]
-        assert _inv_mod(rf, m).tolist() == mod_reduce(invert(f), m).coeffs
+        assert _inv_mod(rf, m).tolist() == mod_reduce(divide(one(f.order), f), m).coeffs
 
     def test_bad_args(self):
         for args in (

@@ -6,7 +6,7 @@ import pytest
 import eopart.verify as V
 from eopart import partitions, quadforms
 from eopart.partitions import eobar_series_mod
-from eopart.series import Series
+from eopart.series import Series, eta_quotient_mod
 
 
 class TestFamilyFromTheorem:
@@ -141,10 +141,23 @@ class TestSuites:
         assert V.verify_triple_products(50).counterexample == {"identity": 1, "n": 7}
 
     def test_eobar_oracle_mod4_counterexample(self, monkeypatch):
-        eta = V.eta_factor
-        bump = lambda order: Series([1, 0, 0, 1, *[0] * (order - 3)])  # times 1 + q^3
-        monkeypatch.setattr(V, "eta_factor", lambda k, order: eta(k, order) * bump(order))
+        fast = partitions.eobar_series_mod
+
+        def bumped(order, m):  # coefficient of q^3 off by one
+            c = fast(order, m)
+            c[3] = (c[3] + 1) % m
+            return c
+
+        monkeypatch.setattr(partitions, "eobar_series_mod", bumped)
         assert V.verify_eobar_oracle(20).counterexample == {"n": 3, "mod4_eta_form": True}
+
+    def test_eobar_oracle_catches_a_wrong_fast_path(self, monkeypatch):
+        # J_2^2 J_4^2 in place of J_2^2 J_4: first wrong at q^4
+        monkeypatch.setattr(
+            partitions, "eobar_series_mod",
+            lambda order, m: eta_quotient_mod({2: 2, 4: 2}, {}, order, 4) % m,
+        )
+        assert V.verify_eobar_oracle(20).counterexample == {"n": 4, "mod4_eta_form": True}
 
     def test_eobar_oracle_catches_a_dropped_partition(self, monkeypatch):
         walk = partitions.eobar_partitions
@@ -157,6 +170,20 @@ class TestSuites:
 
     def test_r113_A(self):
         assert V.verify_r113_A(400).passed
+
+    def test_r113_A_checks_f_series(self, monkeypatch):
+        f = quadforms.f_series
+        # a(5) = A(62) off by one
+        bumped = lambda order: Series([c + (k == 5) for k, c in enumerate(f(order).coeffs)])
+        monkeypatch.setattr(quadforms, "f_series", bumped)
+        direct = quadforms.A_direct(62)
+        assert V.verify_r113_A(400).counterexample == {
+            "n": 62, "f_series": direct + 1, "direct": direct
+        }
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2])
+    def test_r113_A_tiny_range(self, n_max):
+        assert V.verify_r113_A(n_max).passed
 
     def test_classnumber(self):
         assert V.verify_classnumber(500).passed
@@ -204,6 +231,14 @@ class TestSuites:
         # the cubed-eta display in the proof is a typo: it does not match
         assert rep.details["j2cubed_matches_j2squared_mod4"] is False
 
+    def test_eobar_A_reads_the_fast_path(self, monkeypatch):
+        # a fast path returning J_2^3 J_4 would make the typo match
+        monkeypatch.setattr(
+            partitions, "eobar_series_mod",
+            lambda order, m: eta_quotient_mod({2: 3, 4: 1}, {}, order, 4) % m,
+        )
+        assert V.verify_eobar_equals_A(100).details["j2cubed_matches_j2squared_mod4"] is True
+
     def test_a_eq_b(self):
         assert V.verify_a_eq_b(400).passed
 
@@ -236,6 +271,14 @@ class TestDensity:
         rows = V.density_report([1000, 10_000, 50_000])
         ratios = [r["ratio_zero_mod4"] for r in rows]
         assert ratios == sorted(ratios)
+
+    def test_two_mod4_reference(self):
+        # (pi^2/12) N/log N: p = 1 mod 3 and p = 5, 7 mod 8, with 6k+1 <= 3N
+        (row,) = V.density_report([100_000])
+        ref = math.pi**2 / 12 * 100_000 / math.log(100_000)
+        assert row["two_mod4_reference"] == pytest.approx(ref)
+        assert row["two_mod4"] == 7599
+        assert 0.95 <= row["two_mod4"] / ref <= 1.15
 
     def test_rejects_bad_checkpoints(self):
         with pytest.raises(ValueError):

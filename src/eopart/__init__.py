@@ -9,6 +9,7 @@ from .arith import (
     is_square,
     is_squarefree,
     legendre,
+    odd_exponent_sieve,
 )
 from .partitions import eo_count, eobar_count_enum, eobar_series, eobar_series_mod
 from .quadforms import (

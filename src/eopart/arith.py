@@ -1,17 +1,21 @@
-"""Elementary number theory: primality, factorization, Legendre symbols,
-square and squarefree detection.
+"""Elementary number theory: primality, factorization, the odd-exponent
+sieve over an arithmetic progression, Legendre symbols, square and
+squarefree detection.
 
 Everything here is exact integer arithmetic.  Primality is deterministic
 Miller-Rabin (the standard 64-bit witness set, which is in fact exact for
-all inputs below 3.3 * 10^24); factorization is trial division with a
-Pollard rho fallback so that scans over ~10^7 stay fast and larger strays
-do not hang.
+all inputs below 3.3 * 10^24).  Factorization is trial division by primes
+below 10^4, then Pollard rho on what survives, for one number at a time.
+A scan over a progression a i + b reads odd_exponent_sieve instead: numpy
+strided slices divide out every prime up to min(sqrt(top), 2^16) at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Deterministic Miller-Rabin witnesses for n < 3,317,044,064,679,887,385,961,981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -37,12 +41,6 @@ class Factorization:
         if m != self.n:
             raise ValueError(f"factors do not multiply back to {self.n}")
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test."""
@@ -51,6 +49,8 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 53 * 53:  # every composite below 53^2 has a prime factor <= 47
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -98,13 +98,13 @@ def factorize(n: int) -> Factorization:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     d = 53
-    while d * d <= n and d < 10**6:
+    while d * d <= n and d < 10**4:
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
         d += 2
-    # Whatever survives trial division is prime or a product of two large
-    # primes; split recursively with rho.
+    # Whatever survives has no prime factor below 10^4; split it recursively
+    # with rho, which finds such a factor in about sqrt(p) steps.
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -117,6 +117,91 @@ def factorize(n: int) -> Factorization:
         stack.append(d)
         stack.append(m // d)
     return Factorization(orig, tuple(sorted(factors.items())))
+
+
+# Terms per block of odd_exponent_sieve: its working memory is a few arrays
+# of this length plus the sieving primes, however long the progression.
+_SIEVE_BLOCK = 1 << 16
+# Largest sieving bound; a cofactor at or past (bound + 1)^2 goes to factorize.
+_SIEVE_PRIME_CAP = 1 << 16
+
+
+def _primes_upto(limit: int) -> list[int]:
+    mark = np.ones(limit + 1, dtype=bool)
+    mark[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mark[p]:
+            mark[p * p :: p] = False
+    return np.flatnonzero(mark).tolist()
+
+
+def odd_exponent_sieve(a: int, b: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The primes dividing each term v_i = a i + b (i < count) to an odd power.
+
+    Returns (n_odd, prime, exponent), one entry per term: n_odd[i] counts
+    the primes with odd exponent in v_i; when it is 1, v_i = prime[i] **
+    exponent[i] * m^2 with prime[i] not dividing m.  prime and exponent
+    read 0 wherever n_odd is not 1.
+
+    Blocks of _SIEVE_BLOCK terms are sieved by the primes p <= L =
+    min(isqrt(top), 2^16) that do not divide a (gcd(a, b) = 1, so those
+    divide no term), each through the strided slice of terms it divides.
+    The cofactor r left in a term has only prime factors > L, so r > 1 is
+    prime when r < (L+1)^2; a larger one is split by factorize, so sparse
+    progressions of huge terms cost what the pointwise route costs.
+
+    Refuses a < 1, b < 1, count < 0, gcd(a, b) != 1, and a step or a term
+    at or above 2^62.
+    """
+    if a < 1 or b < 1 or count < 0:
+        raise ValueError(f"odd_exponent_sieve needs a, b >= 1 and count >= 0, got {a}, {b}, {count}")
+    if math.gcd(a, b) != 1:
+        raise ValueError(f"gcd({a},{b}) != 1")
+    top = a * (count - 1) + b if count else b
+    if max(a, top) >= 1 << 62:
+        raise ValueError(f"step {a} and terms up to {top} must stay below 2^62")
+    bound = min(math.isqrt(top), _SIEVE_PRIME_CAP)
+    primes = [p for p in _primes_upto(bound) if a % p]
+    first = [-b * pow(a, -1, p) % p for p in primes]  # least i with p | a i + b
+    n_odd = np.zeros(count, dtype=np.int8)
+    prime = np.zeros(count, dtype=np.int64)
+    expo = np.zeros(count, dtype=np.int8)
+    for i0 in range(0, count, _SIEVE_BLOCK):
+        size = min(_SIEVE_BLOCK, count - i0)
+        rest = a * np.arange(i0, i0 + size, dtype=np.int64) + b
+        cnt, pr, ex = n_odd[i0 : i0 + size], prime[i0 : i0 + size], expo[i0 : i0 + size]
+        for p, j in zip(primes, first):
+            s = (j - i0) % p
+            if s >= size:
+                continue
+            sub = rest[s::p]  # a view: the divisions below write through to rest
+            sub //= p
+            e = np.ones(len(sub), dtype=np.int8)
+            idx = np.flatnonzero(sub % p == 0)
+            while len(idx):
+                sub[idx] //= p
+                e[idx] += 1
+                idx = idx[sub[idx] % p == 0]
+            k = np.flatnonzero(e & 1)
+            at = s + p * k
+            cnt[at] += 1
+            pr[at] = p
+            ex[at] = e[k]
+        big = rest >= (bound + 1) ** 2
+        at = np.flatnonzero((rest > 1) & ~big)
+        cnt[at] += 1
+        pr[at] = rest[at]
+        ex[at] = 1
+        for i in np.flatnonzero(big).tolist():
+            for q, f in factorize(int(rest[i])).factors:
+                if f % 2:
+                    cnt[i] += 1
+                    pr[i] = q
+                    ex[i] = f
+    many = n_odd != 1
+    prime[many] = 0
+    expo[many] = 0
+    return n_odd, prime, expo
 
 
 def legendre(a: int, p: int) -> int:

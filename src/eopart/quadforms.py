@@ -189,21 +189,22 @@ class Mod4Certificate:
         return self.witness is None
 
 
+def _certificate(n: int, n_odd: int, p: int, e: int) -> Mod4Certificate:
+    """The classification rule, from the primes of n/2 with odd exponent:
+    none -> odd; exactly one, p^e with e = 1 mod 4 and p = 5, 7 mod 8 ->
+    2 mod 4; otherwise 0 mod 4.  (p, e) is read only when n_odd is 1; the
+    witness m is the square root of what is left of n/2."""
+    if n_odd == 0:
+        return Mod4Certificate(n, Mod4Class.ODD, (math.isqrt(n // 2),))
+    if n_odd == 1 and e % 4 == 1 and p % 8 in (5, 7):
+        m = math.isqrt(n // 2 // p**e)
+        return Mod4Certificate(n, Mod4Class.TWO_MOD_FOUR, (p, (e - 1) // 4, m))
+    return Mod4Certificate(n, Mod4Class.ZERO_MOD_FOUR, None)
+
+
 def classify_mod4(n: int) -> Mod4Certificate:
     """Predict A(n) mod 4 from the factorization of n/2 (n = 2 mod 12)."""
     if n % 12 != 2 or n < 2:
         raise ValueError(f"classify_mod4 needs n = 2 mod 12, got {n}")
-    odd_part = []  # primes of n/2 with odd exponent
-    m = 1  # square root of the even-exponent part
-    for p, e in factorize(n // 2).factors:
-        if e % 2:
-            odd_part.append((p, e))
-        else:
-            m *= p ** (e // 2)
-    if not odd_part:
-        return Mod4Certificate(n, Mod4Class.ODD, (m,))
-    if len(odd_part) == 1:
-        p, e = odd_part[0]
-        if e % 4 == 1 and p % 8 in (5, 7):
-            return Mod4Certificate(n, Mod4Class.TWO_MOD_FOUR, (p, (e - 1) // 4, m))
-    return Mod4Certificate(n, Mod4Class.ZERO_MOD_FOUR, None)
+    odd = [(p, e) for p, e in factorize(n // 2).factors if e % 2]
+    return _certificate(n, len(odd), *(odd[0] if len(odd) == 1 else (0, 0)))

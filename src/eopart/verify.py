@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import partitions, quadforms
-from .arith import factorize, is_prime, is_squarefree, legendre
+from .arith import factorize, is_prime, is_squarefree, legendre, odd_exponent_sieve
 from .quadforms import Mod4Class, classify_mod4
 from .series import eta_factor, eta_product, mod_reduce, mul, power, theta
 
@@ -313,25 +313,29 @@ def verify_classification(n_max: int = 100_000) -> VerificationReport:
     """Certificate class equals A(n) mod 4 for every n = 2 mod 12 up to n_max.
 
     A(n) is read from the theta-product series f_series, which this suite
-    takes as given: it checks that the class certified from the factorization
-    of n matches A(n) mod 4 and that the certificate's witness reconstructs
-    n.  The r113-A suite checks f_series against the A_direct lattice loop
-    on its own range (n <= 5000 by default).
+    takes as given: it checks that the class certified from the odd-exponent
+    primes of n/2 = 6k+1 (one odd_exponent_sieve pass over k) matches A(n)
+    mod 4 and that the certificate's witness reconstructs n.  The pointwise
+    classify_mod4, through factorize, must give the same certificate for
+    every k <= 100 and every 97th k.  The r113-A suite checks f_series
+    against the A_direct lattice loop on its own range (n <= 5000 by default).
     """
     if n_max < 2:
         return _report("classification", f"n <= {n_max}")
     order = (n_max - 2) // 12
     f = quadforms.f_series(order)
-    for k in range(order + 1):
+    want = {
+        Mod4Class.ODD: (1, 3),
+        Mod4Class.TWO_MOD_FOUR: (2,),
+        Mod4Class.ZERO_MOD_FOUR: (0,),
+    }
+    sieved = zip(*(col.tolist() for col in odd_exponent_sieve(6, 1, order + 1)))
+    for k, (n_odd, p, e) in enumerate(sieved):
         n = 12 * k + 2
         a4 = f.c(k) % 4
-        cert = classify_mod4(n)
-        want = {
-            Mod4Class.ODD: (1, 3),
-            Mod4Class.TWO_MOD_FOUR: (2,),
-            Mod4Class.ZERO_MOD_FOUR: (0,),
-        }[cert.cls]
-        if a4 not in want or not cert.check():
+        cert = quadforms._certificate(n, n_odd, p, e)
+        sampled = k <= 100 or k % 97 == 0
+        if a4 not in want[cert.cls] or not cert.check() or (sampled and classify_mod4(n) != cert):
             return _report(
                 "classification",
                 f"n <= {n_max}",
@@ -463,23 +467,19 @@ def density_report(checkpoints: list[int]) -> list[dict]:
 
 def gamma_count(A: int, B: int, N: int) -> tuple[int, float]:
     """Count n <= N with A n + B = m^2 p^{4a+1} (p prime, p not dividing m),
-    against the asymptotic reference (pi^2/6) prod_{p|A}(1+1/p) N/log N.
+    read from one odd_exponent_sieve pass over the progression, against the
+    asymptotic reference (pi^2/6) prod_{p|A}(1+1/p) N/log N.
 
     The reference is an asymptotic with an error term, so only the pair is
-    returned; nothing is asserted.
+    returned; nothing is asserted.  Refuses gcd(A, B) != 1 and, through the
+    sieve, terms A N + B at or above 2^62.
     """
     if not (A > B >= 1):
         raise ValueError("need A > B >= 1")
-    if math.gcd(A, B) != 1:
-        raise ValueError(f"gcd({A},{B}) != 1")
     if N < 2:
         raise ValueError(f"gamma_count needs N >= 2 (log N in the reference), got N = {N}")
-    count = 0
-    for n in range(N + 1):
-        fac = factorize(A * n + B)
-        odd = [(p, e) for p, e in fac.factors if e % 2]
-        if len(odd) == 1 and odd[0][1] % 4 == 1:
-            count += 1
+    n_odd, _, e = odd_exponent_sieve(A, B, N + 1)
+    count = int(np.count_nonzero((n_odd == 1) & (e % 4 == 1)))
     pred = math.pi**2 / 6
     for p, _ in factorize(A).factors:
         pred *= 1 + 1 / p

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eopart import arith
 from eopart.arith import (
     Factorization,
     factorize,
@@ -11,7 +13,17 @@ from eopart.arith import (
     is_square,
     is_squarefree,
     legendre,
+    odd_exponent_sieve,
 )
+
+
+def _smallest_prime_factors(limit: int) -> np.ndarray:
+    """spf[n] for n <= limit by a plain sieve (spf[0] = spf[1] = 0)."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, limit + 1):
+        if spf[p] == 0:
+            spf[p::p][spf[p::p] == 0] = p
+    return spf
 
 
 class TestIsPrime:
@@ -36,6 +48,12 @@ class TestIsPrime:
     def test_large(self):
         assert is_prime(2**61 - 1)
         assert not is_prime((2**31 - 1) * (2**31 + 11))
+
+    def test_against_sieve(self):
+        # below 53^2 the small-prime loop decides without Miller-Rabin
+        spf = _smallest_prime_factors(10**4)
+        for n in range(10**4):
+            assert is_prime(n) == (n >= 2 and spf[n] == n), n
 
 
 class TestFactorize:
@@ -68,6 +86,113 @@ class TestFactorize:
             Factorization(12, ((2, 1), (3, 1)))
         with pytest.raises(ValueError):
             Factorization(12, ((4, 1), (3, 1)))
+
+    # Trial division stops below 10^4; every prime factor past it comes from rho.
+    @pytest.mark.parametrize("p", [10007, 10009, 99991, 1000003])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_prime_powers_past_trial_division(self, p, k):
+        assert factorize(p**k).factors == ((p, k),)
+
+    def test_two_primes_past_trial_division(self):
+        primes = [10007, 10009, 65537, 99991, 500009, 999983]
+        for i, p in enumerate(primes):
+            for q in primes[i + 1 :]:
+                assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+    def test_mixed_small_and_rho_factors(self):
+        assert factorize(6 * 99991**3 * 10007).factors == ((2, 1), (3, 1), (10007, 1), (99991, 3))
+        assert factorize(6 * 10007**3 * 10007).factors == ((2, 1), (3, 1), (10007, 4))
+
+    def test_sweep_against_smallest_prime_factors(self):
+        limit = 2 * 10**5
+        spf = _smallest_prime_factors(limit).tolist()
+        for n in range(1, limit):
+            want, m = {}, n
+            while m > 1:
+                want[spf[m]] = want.get(spf[m], 0) + 1
+                m //= spf[m]
+            assert factorize(n).factors == tuple(sorted(want.items())), n
+
+
+def _odd_exponent_pointwise(a, b, count):
+    """(n_odd, prime, exponent) of each term from factorize, as the sieve states them."""
+    out = []
+    for i in range(count):
+        odd = [(p, e) for p, e in factorize(a * i + b).factors if e % 2]
+        out.append((len(odd), *(odd[0] if len(odd) == 1 else (0, 0))))
+    return out
+
+
+def _profile(a, b, count):
+    return list(zip(*(col.tolist() for col in odd_exponent_sieve(a, b, count))))
+
+
+class TestOddExponentSieve:
+    @pytest.mark.parametrize("a,b", [(6, 1), (25, 3), (49, 23), (4, 3), (1, 1)])
+    def test_matches_factorize(self, a, b):
+        assert _profile(a, b, 3000) == _odd_exponent_pointwise(a, b, 3000)
+
+    def test_crosses_blocks(self):
+        lo = arith._SIEVE_BLOCK - 250
+        got = _profile(6, 1, lo + 500)[lo:]
+        assert got == _odd_exponent_pointwise(6, 1 + 6 * lo, 500)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_short_progressions(self, count):
+        assert _profile(6, 7, count) == _odd_exponent_pointwise(6, 7, count)
+        assert all(len(col) == count for col in odd_exponent_sieve(6, 7, count))
+
+    def test_terms_equal_to_one(self):
+        assert _profile(1, 1, 1) == [(0, 0, 0)]
+        assert _profile(6, 1, 2) == [(0, 0, 0), (1, 7, 1)]
+
+    def test_prime_powers(self):
+        # 243 = 3^5 = 4*60 + 3 and 7^5 = 16807 = 6*2801 + 1
+        assert _profile(4, 3, 61)[60] == (1, 3, 5)
+        assert _profile(6, 1, 2802)[2801] == (1, 7, 5)
+        assert _profile(6, 1, 2802)[8] == (0, 0, 0)  # 49 = 7^2
+
+    def test_prime_cofactor_above_sqrt_top(self):
+        # 5 * 65537: the sieve stops at isqrt(327685) = 572, leaving 65537
+        assert _profile(1, 5 * 65537, 1) == [(2, 0, 0)]
+        assert _profile(1, 4 * 65537, 1) == [(1, 65537, 1)]
+
+    def test_large_cofactors_go_through_factorize(self, monkeypatch):
+        # Past 2^32 the sieve stops at L = 2^16, so a cofactor r with
+        # r >= (L+1)^2 = 65537^2 is split by factorize; a smaller one is prime.
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(arith, "factorize", counting)
+        cases = [  # (term, profile, the cofactor factorize must split or None)
+            (7 * (2**32 + 15), (2, 0, 0), None),  # prime cofactor 2^32 + 15 < 65537^2
+            (4 * (2**32 + 15), (1, 2**32 + 15, 1), None),
+            (65537**2, (0, 0, 0), 65537**2),  # cofactor exactly (L+1)^2
+            (3 * 65537**3, (2, 0, 0), 65537**3),
+            (4 * 1000003 * 1000033, (2, 0, 0), 1000003 * 1000033),
+            (1000003**3, (1, 1000003, 3), 1000003**3),
+        ]
+        for v, want, cofactor in cases:
+            calls.clear()
+            assert _profile(1, v, 1) == [want], v
+            assert calls == ([] if cofactor is None else [cofactor]), v
+        monkeypatch.undo()
+        b = 65537**2 - 20
+        assert _profile(1, b, 40) == _odd_exponent_pointwise(1, b, 40)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="gcd"):
+            odd_exponent_sieve(6, 3, 10)
+        with pytest.raises(ValueError, match="count >= 0"):
+            odd_exponent_sieve(6, 1, -1)
+        with pytest.raises(ValueError, match="2\\^62"):
+            odd_exponent_sieve(1, 2**62 - 1, 2)
+        with pytest.raises(ValueError, match="2\\^62"):
+            odd_exponent_sieve(2**62, 1, 1)
+        assert _profile(1, 2**62 - 1, 1) == _odd_exponent_pointwise(1, 2**62 - 1, 1)
 
 
 class TestLegendre:

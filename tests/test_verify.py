@@ -5,6 +5,7 @@ import pytest
 
 import eopart.verify as V
 from eopart import partitions, quadforms
+from eopart.arith import factorize
 from eopart.partitions import eobar_series_mod
 from eopart.series import Series, eta_quotient_mod
 
@@ -225,6 +226,52 @@ class TestSuites:
         rep = V.verify_classification(n_max)
         assert rep.passed and rep.range_checked == f"n <= {n_max}"
 
+    def test_classification_catches_a_misreporting_sieve(self, monkeypatch):
+        # 6*4 + 1 = 25 = 5^2: A(50) is odd; a sieve reporting two odd-exponent
+        # primes there would certify 0 mod 4
+        sieve = V.odd_exponent_sieve
+
+        def misreport(a, b, count):
+            n_odd, prime, expo = sieve(a, b, count)
+            n_odd[4] = 2
+            return n_odd, prime, expo
+
+        monkeypatch.setattr(V, "odd_exponent_sieve", misreport)
+        rep = V.verify_classification(5000)
+        assert not rep.passed and rep.range_checked == "n <= 5000"
+        assert rep.counterexample == {"n": 50, "A_mod4": 1, "class": "zero_mod_four"}
+
+    def test_classification_checks_each_witness(self, monkeypatch):
+        # a wrong square root m fails cert.check() at once: n = 2 is 2 * 1^2
+        certificate = quadforms._certificate
+
+        def off_by_one(n, n_odd, p, e):
+            cert = certificate(n, n_odd, p, e)
+            if cert.cls is quadforms.Mod4Class.ODD:
+                return quadforms.Mod4Certificate(n, cert.cls, (cert.witness[0] + 1,))
+            return cert
+
+        monkeypatch.setattr(quadforms, "_certificate", off_by_one)
+        assert V.verify_classification(5000).counterexample == {
+            "n": 2, "A_mod4": 1, "class": "odd"
+        }
+
+    def test_classification_samples_the_pointwise_route(self, monkeypatch):
+        # -m passes cert.check(), so only the pointwise classify_mod4 sample
+        # can tell it from m; k = 873 is sampled, and 6k + 1 = 31 * 13^2
+        classify = V.classify_mod4
+
+        def negated(n):
+            cert = classify(n)
+            if n == 12 * 873 + 2:
+                p, alpha, m = cert.witness
+                return quadforms.Mod4Certificate(n, cert.cls, (p, alpha, -m))
+            return cert
+
+        monkeypatch.setattr(V, "classify_mod4", negated)
+        rep = V.verify_classification(12000)
+        assert rep.counterexample == {"n": 10478, "A_mod4": 2, "class": "two_mod_four"}
+
     def test_eobar_A(self):
         rep = V.verify_eobar_equals_A(400)
         assert rep.passed
@@ -287,6 +334,16 @@ class TestDensity:
             V.density_report([1])
 
 
+def _gamma_pointwise(A, B, N):
+    """The count gamma_count reports, from one factorize call per n."""
+    count = 0
+    for n in range(N + 1):
+        odd = [(p, e) for p, e in factorize(A * n + B).factors if e % 2]
+        if len(odd) == 1 and odd[0][1] % 4 == 1:
+            count += 1
+    return count
+
+
 class TestGammaCount:
     def test_hand_count_N10(self):
         # 6n+1 for n <= 10: 1,7,13,19,25,31,37,43,49,55,61; qualifying are
@@ -297,17 +354,13 @@ class TestGammaCount:
         assert pred == pytest.approx(math.pi**2 / 3 * 10 / math.log(10))
 
     def test_prime_powers_qualify(self):
-        # 4*7+3 = 31 prime; 4*...; include an explicit p^5 case: 243 = 3^5
-        count_to = V.gamma_count(4, 3, 60)[0]
-        qualifying = 0
-        for n in range(61):
-            v = 4 * n + 3
-            from eopart.arith import factorize
+        # 243 = 3^5 = 4*60 + 3 qualifies: one odd exponent, 5 = 1 mod 4
+        assert V.gamma_count(4, 3, 60)[0] == _gamma_pointwise(4, 3, 60)
+        assert V.gamma_count(4, 3, 60)[0] == V.gamma_count(4, 3, 59)[0] + 1
 
-            odd = [(p, e) for p, e in factorize(v).factors if e % 2]
-            if len(odd) == 1 and odd[0][1] % 4 == 1:
-                qualifying += 1
-        assert count_to == qualifying
+    @pytest.mark.parametrize("A,B,N", [(6, 1, 2000), (25, 3, 3000), (49, 23, 3000)])
+    def test_matches_pointwise_factorize(self, A, B, N):
+        assert V.gamma_count(A, B, N)[0] == _gamma_pointwise(A, B, N)
 
     def test_gcd_error(self):
         with pytest.raises(ValueError, match="gcd"):

@@ -3,11 +3,12 @@ sieve over an arithmetic progression, Legendre symbols, square and
 squarefree detection.
 
 Everything here is exact integer arithmetic.  Primality is deterministic
-Miller-Rabin (the standard 64-bit witness set, which is in fact exact for
-all inputs below 3.3 * 10^24).  Factorization is trial division by primes
-below 10^4, then Pollard rho on what survives, for one number at a time.
-A scan over a progression a i + b reads odd_exponent_sieve instead: numpy
-strided slices divide out every prime up to min(sqrt(top), 2^16) at once.
+Miller-Rabin to the 13 prime bases 2..41, exact below psi_13 (about
+3.3 * 10^24); is_prime refuses a larger n that passes all 13.
+Factorization is trial division by primes below 10^4, then Pollard rho
+on what survives, for one number at a time.  A scan over a progression
+a i + b reads odd_exponent_sieve instead: numpy strided slices divide out
+every prime up to min(sqrt(top), 2^16) at once.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Deterministic Miller-Rabin witnesses for n < 3,317,044,064,679,887,385,961,981.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first 13 primes is exact below psi_13, the least
+# strong pseudoprime to all of them (Sorenson and Webster, 2015); the first
+# 12 stop at psi_12 = 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -43,7 +47,12 @@ class Factorization:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test."""
+    """Deterministic primality test.
+
+    Exact below psi_13 (about 3.3 * 10^24); from there on a composite n is
+    still exposed by a small factor or a failing base, and an n that
+    passes all 13 bases is refused with ValueError.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -66,6 +75,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime is exact only below psi_13 = {_MR_BOUND}; {n} passes all 13 bases")
     return True
 
 
@@ -88,7 +99,8 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> Factorization:
-    """Complete prime factorization of n >= 1 (n=1 gives an empty list)."""
+    """Complete prime factorization of n >= 1 (n=1 gives an empty list);
+    a prime factor at or past psi_13 is refused through is_prime."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     orig = n

@@ -15,25 +15,27 @@ import json
 import sys
 
 from . import partitions, quadforms, verify
+from .series import Series
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _A_values(order: int) -> list[int]:
+def _A_series(order: int) -> Series:
+    """A(n) = a((n - 2) / 12) on n = 2 mod 12 and 0 elsewhere, through order."""
     f = quadforms.f_series(order // 12 + 1)
-    return [f.c((n - 2) // 12) if n % 12 == 2 else 0 for n in range(order + 1)]
+    return Series([f.c((n - 2) // 12) if n % 12 == 2 else 0 for n in range(order + 1)], order)
 
 
-# Exact values for n = 0..order of each table series, by name.
+# The exact series of each table, by name; each builder refuses order < 0.
 TABLE_SERIES = {
-    "eobar": lambda order: partitions.eobar_series(order).coeffs,
-    "A": _A_values,
-    "a": lambda order: quadforms.f_series(order).coeffs,
-    "b": lambda order: quadforms.b_series(order).coeffs,
-    "r113": lambda order: quadforms.ternary_series(1, order).coeffs,
-    "r133": lambda order: quadforms.ternary_series(3, order).coeffs,
+    "eobar": partitions.eobar_series,
+    "A": _A_series,
+    "a": quadforms.f_series,
+    "b": quadforms.b_series,
+    "r113": lambda order: quadforms.ternary_series(1, order),
+    "r133": lambda order: quadforms.ternary_series(3, order),
 }
 
 
@@ -73,13 +75,6 @@ def _record(args, rows: list[dict], status: str) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.suite != "all" and args.suite not in verify.SUITES:
-        print(f"error: unknown suite {args.suite!r}; choose from "
-              f"{', '.join(verify.SUITES)} or 'all'", file=sys.stderr)
-        return EXIT_USAGE
-    if any(v is not None and v < 0 for v in (args.limit, args.order)):
-        print("error: --limit and --order must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     if args.suite == "all":
         reports = verify.run_all(args.limit, args.order)
     else:
@@ -107,13 +102,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.order < 0 or (args.mod is not None and args.mod < 2):
-        print("error: --order must be >= 0 and --mod >= 2", file=sys.stderr)
+    # the table applies % mod itself, so only the CLI can check the modulus
+    if args.mod is not None and args.mod < 2:
+        print(f"error: got --mod {args.mod}; the table needs --mod >= 2", file=sys.stderr)
         return EXIT_USAGE
     if args.series == "eobar" and args.mod is not None:
         values = [int(v) for v in partitions.eobar_series_mod(args.order, args.mod)]
     else:
-        values = TABLE_SERIES[args.series](args.order)
+        values = TABLE_SERIES[args.series](args.order).coeffs
         if args.mod is not None:
             values = [v % args.mod for v in values]
     rows = [{"n": n, "value": v} for n, v in enumerate(values)]
@@ -121,9 +117,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.a_max < 1 or args.n_max < 0:
-        print("error: --a-max must be >= 1 and --n-max >= 0", file=sys.stderr)
-        return EXIT_USAGE
     fams = verify.scan_congruences(args.a_max, args.n_max)
     rows = [
         {"A": f.modulus_A, "B": f.residue_B, "trivial": f.trivial} for f in fams
@@ -136,9 +129,6 @@ def cmd_density(args) -> int:
         checkpoints = [int(x) for x in args.checkpoints.split(",") if x]
     except ValueError:
         print("error: --checkpoints must be a comma list of integers", file=sys.stderr)
-        return EXIT_USAGE
-    if not checkpoints or min(checkpoints) < 2:
-        print("error: checkpoints must be integers >= 2", file=sys.stderr)
         return EXIT_USAGE
     rows = verify.density_report(checkpoints)
     ok = all(r["bound_ok"] for r in rows)
@@ -160,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this path")
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", default="all")
+    p.add_argument("--suite", default="all", help="a suite name, or 'all'")
     p.add_argument("--limit", type=int, default=None, help="sweep bound override")
     p.add_argument("--order", type=int, default=None, help="series truncation override")
     common(p)
@@ -193,10 +183,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    # The library refuses out-of-range arguments; a refusal is a usage error.
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message; print the message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -90,7 +90,7 @@ def eta_factor(k: int, order: int) -> Series:
     Euler's pentagonal expansion J_k = sum_j (-1)^j q^{k j(3j-1)/2}, read
     from theta_terms("pent3_alt", order, k): O(sqrt(order / k)) nonzero
     terms.  The triple-product suite checks that expansion against the
-    honest product, eta_product, at small order.
+    honest product, eta_product, at the suite's order.
     """
     return _dense(theta_terms("pent3_alt", order, k), order)
 
@@ -98,28 +98,21 @@ def eta_factor(k: int, order: int) -> Series:
 def eta_product(k: int, order: int) -> Series:
     """The same product by honest successive multiplication of the factors.
 
-    This is the small-order oracle for eta_factor: it makes no appeal to
-    the pentagonal number theorem.  numpy int64 is used for the in-place
-    updates with a magnitude guard; the intermediate coefficients outgrow
-    the guard for k = 1 from order 5689 on, and the guard then raises
-    ValueError instead of wrapping silently.
+    This is the oracle for eta_factor: it makes no appeal to the
+    pentagonal number theorem.  Each factor (1 - q^j) is one slice update
+    of a numpy array of Python ints (dtype=object), so the product is
+    exact at every order; it costs O(order^2 / k) integer subtractions.
     """
     if k < 1:
         raise ValueError("eta factor needs k >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
-    c = np.zeros(order + 1, dtype=np.int64)
+    c = np.zeros(order + 1, dtype=object)
     c[0] = 1
-    guard = np.int64(1) << 40
     for j in range(k, order + 1, k):
-        # (1 - q^j) * c, in place: descending order not needed with numpy
-        # since the slice is taken before assignment.
-        c[j:] -= c[: order + 1 - j].copy()
-        if np.abs(c).max() >= guard:
-            raise ValueError(
-                f"eta_product({k}, {order}) outgrows its int64 guard; "
-                "use eta_factor at this order"
-            )
+        # (1 - q^j) * c, in place: numpy reads an operand that overlaps the
+        # output as if copied first, so no descending loop is needed
+        c[j:] -= c[: order + 1 - j]
     return Series(c.tolist(), order)
 
 
@@ -306,8 +299,10 @@ def eta_quotient_mod(
         raise ValueError("modulus must be >= 2")
     if m > 1 << 62:
         raise ValueError(f"modulus {m} overflows int64: the kernel needs m <= 2^62")
-    if order < 0 or min((*num_powers.values(), *den_powers.values()), default=0) < 0:
-        raise ValueError("order and eta exponents must be >= 0")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if min((*num_powers.values(), *den_powers.values()), default=0) < 0:
+        raise ValueError("eta exponents must be >= 0")
 
     def product(powers: dict[int, int]) -> np.ndarray:
         factors = []

@@ -63,8 +63,14 @@ def _first_difference(a, b) -> int | None:
 
 def _first_nonzero_mod(coeffs_mod: np.ndarray, A: int, B: int, n_max: int, m: int) -> int | None:
     """Least n <= n_max with coeffs_mod[A n + B] not 0 mod m, else None."""
-    bad = np.flatnonzero(coeffs_mod[B::A][: max(n_max + 1, 0)] % m)
+    bad = np.flatnonzero(coeffs_mod[B::A][: n_max + 1] % m)
     return int(bad[0]) if len(bad) else None
+
+
+def _check_prime_at_least_5(p: int) -> None:
+    """Refuse p unless it is a prime >= 5, the range every p-statement here covers."""
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"p must be a prime >= 5, got {p}")
 
 
 # --- Ramanujan-type families ------------------------------------------------
@@ -80,8 +86,7 @@ def family_from_theorem(primes: list[int], j: int) -> CongruenceFamily:
     if not primes:
         raise ValueError("need at least one prime")
     for p in primes:
-        if p < 5 or not is_prime(p):
-            raise ValueError(f"p_i must be a prime >= 5, got {p}")
+        _check_prime_at_least_5(p)
     p_last = primes[-1]
     if j % p_last == 0:
         raise ValueError(f"j = {j} is divisible by the last prime {p_last}")
@@ -97,8 +102,9 @@ def family_from_theorem(primes: list[int], j: int) -> CongruenceFamily:
     head = 1
     for p in primes[:-1]:
         head *= p * p
+    # Integral: every p_i >= 5 has p_i^2 = 1 (mod 3), so head = 1 and
+    # p_last (3j + p_last) = p_last^2 = 1 (mod 3), and offset_num = 0 (mod 3).
     offset_num = head * p_last * (3 * j + p_last) - 1
-    assert offset_num % 3 == 0, "offset not integral; preconditions should forbid this"
     B = (offset_num // 3) % A
     return CongruenceFamily(A, B, 4, "theorem1_1", tuple(primes), j)
 
@@ -106,10 +112,16 @@ def family_from_theorem(primes: list[int], j: int) -> CongruenceFamily:
 def check_family(
     fam: CongruenceFamily, n_max: int, coeffs_mod: np.ndarray | None = None
 ) -> VerificationReport:
-    """Check the family's congruence for 0 <= n <= n_max via the series path."""
+    """Check the family's congruence for 0 <= n <= n_max via the series path.
+
+    Refuses, before any array is built or read, n_max < 0 and a malformed
+    family (A < 1, B < 0, or m outside 2..2^62).
+    """
     A, B, m = fam.modulus_A, fam.residue_B, fam.congruence_modulus
     if A < 1 or B < 0 or not 2 <= m <= 1 << 62:
         raise ValueError(f"family needs A >= 1, B >= 0 and 2 <= m <= 2^62, got {A}n+{B} mod {m}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     need = fam.argument(n_max)
     if coeffs_mod is None:
         coeffs_mod = partitions.eobar_series_mod(need, m)
@@ -133,8 +145,11 @@ def scan_congruences(
     """All (A <= a_max, B < A) with EO-bar(An+B) = 0 mod 4 up to n_max.
 
     Families whose arguments are all odd hold vacuously (the count is zero
-    on odd numbers); these are flagged trivial, not dropped.
+    on odd numbers); these are flagged trivial, not dropped.  Refuses
+    a_max < 1 and n_max < 0 before any array is built or read.
     """
+    if a_max < 1 or n_max < 0:
+        raise ValueError(f"a_max must be >= 1 and n_max >= 0, got a_max = {a_max}, n_max = {n_max}")
     need = a_max * n_max + a_max - 1
     if coeffs_mod is None:
         coeffs_mod = partitions.eobar_series_mod(need, 4)
@@ -272,7 +287,9 @@ def verify_genus(n_max: int = 2000) -> VerificationReport:
 
 def verify_hecke(p: int, n_max: int = 200) -> VerificationReport:
     """A(p^2 n) + (-3n/p) A(n) + p A(n/p^2) = (p+1) A(n) for every n = 2 mod 12,
-    p | n included: there (-3n/p) = 0, and the last term counts once p^2 | n."""
+    p | n included: there (-3n/p) = 0, and the last term counts once p^2 | n.
+    Refuses a p that is not a prime >= 5."""
+    _check_prime_at_least_5(p)
     name = f"hecke(p={p})"
     for n in range(2, n_max + 1, 12):
         lhs = quadforms.A_direct(p * p * n) + legendre(-3 * n, p) * quadforms.A_direct(n)
@@ -285,7 +302,9 @@ def verify_hecke(p: int, n_max: int = 200) -> VerificationReport:
 
 
 def verify_lemmas_3_2_to_3_5(p: int, n_max: int = 50) -> VerificationReport:
-    """Prime-power congruences for A: the four mod-2 and mod-4 lemmas."""
+    """Prime-power congruences for A: the four mod-2 and mod-4 lemmas.
+    Refuses a p that is not a prime >= 5."""
+    _check_prime_at_least_5(p)
     name = f"lemmas3.2-3.5(p={p})"
     A = quadforms.A_direct
     for n in range(2, n_max + 1, 12):
@@ -384,14 +403,17 @@ def verify_a_eq_b(n_max: int = 2000) -> VerificationReport:
     return _report("a-eq-b", f"n <= {n_max}")
 
 
-def theorem_families(
-    prime_pool: tuple[int, ...] = (5, 7, 11, 13), max_k: int = 1
-) -> list[CongruenceFamily]:
-    """Every admissible family with k + 1 pool primes, 0 <= k <= max_k; refuses max_k < 0."""
+# The primes theorem_families draws p_1..p_{k+1} from.
+FAMILY_PRIMES = (5, 7, 11, 13)
+
+
+def theorem_families(max_k: int = 1) -> list[CongruenceFamily]:
+    """Every admissible family with k + 1 primes from FAMILY_PRIMES, 0 <= k <= max_k;
+    refuses max_k < 0."""
     if max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
     fams = []
-    tuples = (t for r in range(1, max_k + 2) for t in itertools.product(prime_pool, repeat=r))
+    tuples = (t for r in range(1, max_k + 2) for t in itertools.product(FAMILY_PRIMES, repeat=r))
     for primes in tuples:
         p_last = primes[-1]
         for j in range(1, p_last):
@@ -403,8 +425,8 @@ def theorem_families(
 
 
 def verify_families(order: int = 150_000) -> VerificationReport:
-    """All pool families pass to the truncation bound; the seven example
-    residues mod 25 and mod 49 are among them."""
+    """Every theorem_families() family passes to the truncation bound; the
+    seven example residues mod 25 and mod 49 are among them."""
     coeffs = partitions.eobar_series_mod(order, 4)
     fams = theorem_families()
     pairs = {(f.modulus_A, f.residue_B) for f in fams}
@@ -413,6 +435,8 @@ def verify_families(order: int = 150_000) -> VerificationReport:
     if missing:
         return _report("families", f"order {order}", {"missing_example_families": sorted(missing)})
     for fam in fams:
+        if fam.residue_B > order:
+            continue  # no argument A n + B within the order
         n_max = (order - fam.residue_B) // fam.modulus_A
         rep = check_family(fam, n_max, coeffs)
         if not rep.passed:
@@ -440,7 +464,7 @@ def density_report(checkpoints: list[int]) -> list[dict]:
     = (pi^2/12) N/log N.
     """
     if not checkpoints or min(checkpoints) < 2:
-        raise ValueError("checkpoints must be >= 2")
+        raise ValueError(f"checkpoints must be one or more integers >= 2, got {checkpoints}")
     top = max(checkpoints)
     arr = partitions.eobar_series_mod(top, 4)
     rows = []
@@ -517,16 +541,19 @@ SUITES: dict[str, Suite] = {
 
 
 def run_suite(name: str, limit: int | None = None, order: int | None = None) -> list[VerificationReport]:
-    """Run one named suite; limit/order override the per-suite defaults."""
+    """Run one named suite; limit/order override the per-suite defaults.
+
+    Refuses an unknown name with KeyError, and a negative limit or order
+    with ValueError whether or not the suite reads that bound.
+    """
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
+        raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    for bound, n in (("limit", limit), ("order", order)):
+        if n is not None and n < 0:
+            raise ValueError(f"{bound} must be >= 0, got {n}")
     suite = SUITES[name]
     n = order if suite.bound == "order" else limit
-    if n is None:
-        n = suite.default
-    if n < 0:
-        raise ValueError(f"{suite.bound} must be >= 0, got {n}")
-    return suite.run(n)
+    return suite.run(suite.default if n is None else n)
 
 
 def worker_count() -> int:

@@ -26,6 +26,10 @@ def _smallest_prime_factors(limit: int) -> np.ndarray:
     return spf
 
 
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
 class TestIsPrime:
     def test_small(self):
         assert is_prime(2)
@@ -54,6 +58,24 @@ class TestIsPrime:
         spf = _smallest_prime_factors(10**4)
         for n in range(10**4):
             assert is_prime(n) == (n >= 2 and spf[n] == n), n
+
+    def test_psi_12_is_composite(self):
+        # the least strong pseudoprime to the bases 2..37; base 41 exposes it
+        assert not is_prime(PSI_12)
+
+    def test_psi_13_refused(self):
+        # psi_13 passes all 13 bases 2..41: from there on a pass proves nothing
+        with pytest.raises(ValueError, match="psi_13"):
+            is_prime(PSI_13)
+        with pytest.raises(ValueError, match="psi_13"):
+            is_prime(2**89 - 1)  # a Mersenne prime past psi_13
+
+    def test_composites_past_psi_13_still_decided(self):
+        # a small factor or a failing base proves compositeness at any size
+        assert not is_prime(10**30)
+        assert not is_prime(PSI_13 * 5)
+        assert not is_prime((2**61 - 1) * (2**31 - 1))
+        assert not is_prime((2**89 - 1) * (2**61 - 1))
 
 
 class TestFactorize:
@@ -86,6 +108,9 @@ class TestFactorize:
             Factorization(12, ((2, 1), (3, 1)))
         with pytest.raises(ValueError):
             Factorization(12, ((4, 1), (3, 1)))
+
+    def test_psi_12(self):
+        assert factorize(PSI_12).factors == ((399165290221, 1), (798330580441, 1))
 
     # Trial division stops below 10^4; every prime factor past it comes from rho.
     @pytest.mark.parametrize("p", [10007, 10009, 99991, 1000003])

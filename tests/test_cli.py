@@ -217,6 +217,31 @@ class TestDensity:
         assert run(capsys, "density", "--checkpoints", "1")[0] == 2
 
 
+# Every argument the library refuses, with a word its message must carry.
+REFUSED = [
+    (["verify", "--suite", "bogus"], "unknown suite"),
+    (["verify", "--suite", "genus", "--limit", "-5"], "limit must be >= 0"),
+    (["verify", "--suite", "genus", "--order", "-5"], "order must be >= 0"),
+    (["verify", "--suite", "families", "--limit", "-1", "--order", "10"], "limit must be >= 0"),
+    (["verify", "--suite", "all", "--limit", "-1"], "limit must be >= 0"),
+    *[(["table", "--series", s, "--order", "-1"], "order must be >= 0")
+      for s in ("eobar", "A", "a", "b", "r113", "r133")],
+    *[(["table", "--series", s, "--order", "5", "--mod", m], "--mod >= 2")
+      for s in ("eobar", "a") for m in ("-3", "0", "1")],
+    (["table", "--series", "eobar", "--order", "400", "--mod", str(2**62 + 1)], "modulus"),
+    (["scan", "--a-max", "0", "--n-max", "10"], "a_max"),
+    (["scan", "--a-max", "3", "--n-max", "-1"], "n_max"),
+    *[(["density", "--checkpoints", c], "checkpoints") for c in ("1", "x,y", "")],
+]
+
+
+@pytest.mark.parametrize("argv, word", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
+def test_refusals_exit_two_with_empty_stdout(capsys, argv, word):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and word in err
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2

@@ -80,10 +80,9 @@ class TestEtaFactor:
             assert eta_factor(k, 400) == eta_product(k, 400)
 
     def test_past_the_product_guard(self):
-        # the honest product outgrows int64 for k = 1 from order 5689 on;
-        # the pentagonal route has no ceiling
-        with pytest.raises(ValueError, match="guard"):
-            eta_product(1, 6000)
+        # for k = 1 the honest product's intermediate coefficients reach 2^40
+        # from order 5689 on; it works in Python ints, so it has no ceiling
+        assert eta_product(1, 6000) == eta_factor(1, 6000)
         assert eta_factor(1, 6000).coeffs == definition_sum("pent3_alt", 6000)
 
 

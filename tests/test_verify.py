@@ -61,11 +61,13 @@ class TestCheckFamily:
         assert rep.counterexample == {"n": 1, "argument": 26, "value_mod": 2}
 
     def test_counterexample_is_the_first_failure(self):
+        # 12n+6 first fails at n = 3, so n_max = bad - 1 is a real range
         arr = eobar_series_mod(2000, 4)
-        fam = V.CongruenceFamily(12, 2)
-        bad = next(n for n in range(160) if arr[12 * n + 2] % 4)
+        fam = V.CongruenceFamily(12, 6)
+        bad = next(n for n in range(160) if arr[12 * n + 6] % 4)
+        assert bad == 3
         rep = V.check_family(fam, 160, arr)
-        arg = 12 * bad + 2
+        arg = 12 * bad + 6
         assert rep.counterexample == {"n": bad, "argument": arg, "value_mod": int(arr[arg]) % 4}
         assert V.check_family(fam, bad - 1, arr).passed
 
@@ -80,6 +82,16 @@ class TestCheckFamily:
         arr = eobar_series_mod(100, 4)
         with pytest.raises(ValueError, match="truncation"):
             V.check_family(V.CongruenceFamily(25, 3), 50, arr)
+
+    def test_negative_n_max_refused(self, monkeypatch):
+        # 25n+1 fails at n = 1; an empty range must not read as a pass
+        arr = eobar_series_mod(1000, 4)
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -5"):
+            V.check_family(V.CongruenceFamily(25, 1), -5, arr)
+        # refused before any array is built
+        monkeypatch.setattr(partitions, "eobar_series_mod", None)
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            V.check_family(V.CongruenceFamily(25, 1), -5)
 
 
 class TestScan:
@@ -97,6 +109,18 @@ class TestScan:
 
     def test_a_max_one_empty(self):
         assert V.scan_congruences(1, 10) == []
+
+    def test_bad_args_refused(self, monkeypatch):
+        # with n_max < 0 every (A, B) would hold vacuously, (1, 0) included,
+        # though EO-bar(0) = 1
+        arr = eobar_series_mod(1000, 4)
+        with pytest.raises(ValueError, match="n_max = -1"):
+            V.scan_congruences(3, -1, arr)
+        monkeypatch.setattr(partitions, "eobar_series_mod", None)
+        with pytest.raises(ValueError, match="a_max must be >= 1"):
+            V.scan_congruences(0, 10)
+        with pytest.raises(ValueError, match="n_max = -1"):
+            V.scan_congruences(3, -1)
 
     def test_matches_pointwise_scan(self):
         arr = eobar_series_mod(12 * 100 + 11, 4)
@@ -218,6 +242,15 @@ class TestSuites:
     def test_lemmas(self, p):
         assert V.verify_lemmas_3_2_to_3_5(p, 50).passed
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 25])
+    def test_hecke_and_lemmas_refuse_p_outside_their_statements(self, p):
+        # both are stated for primes p >= 5 only; p = 3 would report a false
+        # counterexample ({'n': 2, 'lhs': 0, 'rhs': 4} for hecke)
+        with pytest.raises(ValueError, match=f"p must be a prime >= 5, got {p}"):
+            V.verify_hecke(p, 50)
+        with pytest.raises(ValueError, match=f"p must be a prime >= 5, got {p}"):
+            V.verify_lemmas_3_2_to_3_5(p, 50)
+
     def test_classification(self):
         assert V.verify_classification(5000).passed
 
@@ -302,6 +335,10 @@ class TestSuites:
 
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
+            V.run_suite("bogus")
+
+    def test_unknown_suite_lists_the_registry(self):
+        with pytest.raises(KeyError, match="choose from triple-product, eobar-oracle"):
             V.run_suite("bogus")
 
 
@@ -396,6 +433,14 @@ class TestRunner:
             V.run_suite("families", order=-1)
         # order 0 is a bound like any other, not a request for the default
         assert V.run_suite("families", order=0)[0].range_checked == "order 0"
+
+    def test_bounds_refused_whether_or_not_read(self):
+        # families reads only order and genus only limit; a negative value of
+        # the other bound is refused all the same
+        with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+            V.run_suite("families", limit=-1, order=50)
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            V.run_suite("genus", limit=5, order=-1)
 
     def test_run_suite_names_cover_registry(self):
         # every suite runs at tiny bounds, the empty ranges 0 and 1 included

@@ -29,7 +29,6 @@ from .series import (
     mod_reduce,
     mul,
     power,
-    substitute,
     theta,
 )
 from .verify import (

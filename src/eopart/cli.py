@@ -2,8 +2,9 @@
 congruence scanning, and density reports.
 
 Exit codes are a stable contract: 0 all-pass, 1 counterexample or failed
-assertion, 2 usage/configuration error.  Output is CSV (tables) or a
-single JSON record; both carry identical numbers.
+assertion, 2 usage/configuration error or an allocation refused for want
+of memory.  Output is CSV (tables) or a single JSON record; both carry
+identical numbers.
 """
 
 from __future__ import annotations
@@ -190,6 +191,10 @@ def main(argv: list[str] | None = None) -> int:
         # str() of a KeyError is the repr of its message; print the message
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # an allocation the machine refused is not a counterexample (exit 1)
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return EXIT_USAGE
 
 

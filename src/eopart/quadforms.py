@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import factorize, is_square, is_squarefree
-from .series import Series, eta_factor, mul, power, substitute, theta
+from .series import Series, eta_factor, mul, power, theta
 
 
 def _ternary(n: int, b: int) -> int:
@@ -47,7 +47,7 @@ def r133(n: int) -> int:
 def ternary_series(b: int, order: int) -> Series:
     """sum r(n) q^n for x^2 + b y^2 + 3 z^2: theta(q) theta(q^b) theta(q^3)."""
     t = theta("square", order)
-    return mul(mul(t, substitute(t, b)), substitute(t, 3))
+    return mul(mul(t, theta("square", order, b)), theta("square", order, 3))
 
 
 def A_direct(n: int) -> int:
@@ -74,7 +74,7 @@ def A_direct(n: int) -> int:
 
 def f_series(order: int) -> Series:
     """sum a(n) q^n as the theta product (sum q^{n^2})(sum q^{3n^2-n})^2."""
-    return mul(theta("square", order), power(theta("octic", order), 2))
+    return mul(theta("square", order), power(theta("pent3", order, 2), 2))
 
 
 def b_series(order: int) -> Series:
@@ -85,7 +85,7 @@ def b_series(order: int) -> Series:
 
 def b_series_theta(order: int) -> Series:
     """Same series through the alternating theta product (cross-check)."""
-    return mul(theta("square_alt", order), power(theta("octic_alt", order), 2))
+    return mul(theta("square_alt", order), power(theta("pent3_alt", order, 2), 2))
 
 
 # --- binary quadratic forms -------------------------------------------------

@@ -5,9 +5,9 @@ the truncation order is ever reported.  Every binary operation truncates
 to the shorter operand.  Coefficients are Python ints, so there is no
 overflow to guard against.
 
-The product of two series walks the nonzero coefficients of the sparser
-operand, which keeps eta/theta products cheap (those factors are lacunary:
-O(sqrt(N)) nonzero terms).  Division by a unit-constant series costs
+The product of two series pairs the nonzero terms of both operands, which
+keeps eta/theta products cheap (those factors are lacunary: O(sqrt(N))
+nonzero terms).  Division by a unit-constant series costs
 O(N * nnz(divisor)) by the standard coefficient recurrence.
 """
 
@@ -19,13 +19,12 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-ThetaKind = Literal["square", "square_alt", "pent3", "pent3_alt", "octic", "octic_alt"]
+ThetaKind = Literal["square", "square_alt", "pent3", "pent3_alt"]
 
 # Exponent e(n) of each kind's term; the *_alt kinds add the sign (-1)^n.
 _THETA_EXPONENTS = {
     "square": lambda n: n * n,
     "pent3": lambda n: (3 * n * n - n) // 2,
-    "octic": lambda n: 3 * n * n - n,
 }
 
 
@@ -88,11 +87,11 @@ def eta_factor(k: int, order: int) -> Series:
     """Truncated product prod_{n>=1} (1 - q^{kn}), exact at any order.
 
     Euler's pentagonal expansion J_k = sum_j (-1)^j q^{k j(3j-1)/2}, read
-    from theta_terms("pent3_alt", order, k): O(sqrt(order / k)) nonzero
+    from theta("pent3_alt", order, k): O(sqrt(order / k)) nonzero
     terms.  The triple-product suite checks that expansion against the
     honest product, eta_product, at the suite's order.
     """
-    return _dense(theta_terms("pent3_alt", order, k), order)
+    return theta("pent3_alt", order, k)
 
 
 def eta_product(k: int, order: int) -> Series:
@@ -120,9 +119,10 @@ def theta_terms(kind: ThetaKind, order: int, k: int = 1) -> tuple[np.ndarray, np
     """(exponents, signs) of sum_{n in Z} (+-1)^n q^{k e(n)} through order.
 
     The one builder of every lacunary series here: theta, eta_factor and
-    the J_k of eta_quotient_mod all read their terms from it.  kinds:
-    square -> e(n)=n^2; pent3 -> e(n)=(3n^2-n)/2; octic -> e(n)=3n^2-n;
-    the *_alt variants carry the sign (-1)^n.  One entry per n, so an
+    the J_k of eta_quotient_mod all read their terms from it, and k is the
+    only dilation q -> q^k in the package.  kinds: square -> e(n)=n^2;
+    pent3 -> e(n)=(3n^2-n)/2 (so 3n^2-n is pent3 at k = 2); the *_alt
+    variants carry the sign (-1)^n.  One entry per n, so an
     exponent hit by n and -n (the square kinds) appears twice.  Refused
     with ValueError: an unknown kind, k < 1 and order < 0.  Any k > order
     leaves only q^0, so a k past int64 (2**64, say) is not an error.
@@ -151,28 +151,22 @@ def _dense(terms: tuple[np.ndarray, np.ndarray], order: int) -> Series:
     return Series(c, order)
 
 
-def theta(kind: ThetaKind, order: int) -> Series:
-    """Lacunary theta series sum_{n in Z} (+-1)^n q^{e(n)} through order (kinds: theta_terms)."""
-    return _dense(theta_terms(kind, order), order)
+def theta(kind: ThetaKind, order: int, k: int = 1) -> Series:
+    """Lacunary series sum_{n in Z} (+-1)^n q^{k e(n)} through order (kinds, k: theta_terms)."""
+    return _dense(theta_terms(kind, order, k), order)
 
 
 def mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated at min(order(a), order(b))."""
+    """Cauchy product truncated at min(order(a), order(b)), over nonzero terms only."""
     order = min(a.order, b.order)
-    # Walk the sparser operand's nonzero terms over the dense one.
-    na = sum(1 for v in a.coeffs[: order + 1] if v)
-    nb = sum(1 for v in b.coeffs[: order + 1] if v)
-    if nb < na:
-        a, b = b, a
+    terms = [(j, w) for j, w in enumerate(b.coeffs[: order + 1]) if w]
     res = [0] * (order + 1)
-    bc = b.coeffs
     for i, v in enumerate(a.coeffs[: order + 1]):
-        if not v:
-            continue
-        for j in range(order - i + 1):
-            bj = bc[j]
-            if bj:
-                res[i + j] += v * bj
+        if v:
+            for j, w in terms:
+                if i + j > order:
+                    break
+                res[i + j] += v * w
     return Series(res, order)
 
 
@@ -206,16 +200,6 @@ def divide(num: Series, den: Series) -> Series:
             acc -= v * s[n - k]
         s[n] = acc if d0 == 1 else -acc
     return Series(s, order)
-
-
-def substitute(a: Series, m: int) -> Series:
-    """Map sum c_n q^n to sum c_n q^{mn}, truncated at a's order."""
-    if m < 1:
-        raise ValueError("substitute needs m >= 1")
-    res = [0] * (a.order + 1)
-    for n in range(a.order // m + 1):
-        res[m * n] = a.coeffs[n]
-    return Series(res, a.order)
 
 
 def mod_reduce(a: Series, m: int) -> Series:

@@ -9,6 +9,7 @@ asserted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -291,11 +292,12 @@ def verify_hecke(p: int, n_max: int = 200) -> VerificationReport:
     Refuses a p that is not a prime >= 5."""
     _check_prime_at_least_5(p)
     name = f"hecke(p={p})"
+    A = functools.cache(quadforms.A_direct)  # each lattice count once per call
     for n in range(2, n_max + 1, 12):
-        lhs = quadforms.A_direct(p * p * n) + legendre(-3 * n, p) * quadforms.A_direct(n)
+        lhs = A(p * p * n) + legendre(-3 * n, p) * A(n)
         if n % (p * p) == 0:
-            lhs += p * quadforms.A_direct(n // (p * p))
-        rhs = (p + 1) * quadforms.A_direct(n)
+            lhs += p * A(n // (p * p))
+        rhs = (p + 1) * A(n)
         if lhs != rhs:
             return _report(name, f"n <= {n_max}", {"n": n, "lhs": lhs, "rhs": rhs})
     return _report(name, f"n <= {n_max}")
@@ -306,7 +308,8 @@ def verify_lemmas_3_2_to_3_5(p: int, n_max: int = 50) -> VerificationReport:
     Refuses a p that is not a prime >= 5."""
     _check_prime_at_least_5(p)
     name = f"lemmas3.2-3.5(p={p})"
-    A = quadforms.A_direct
+    # 3.4 and 3.5 reread the A(p^k n) of 3.2 and 3.3: each lattice count once per call
+    A = functools.cache(quadforms.A_direct)
     for n in range(2, n_max + 1, 12):
         An = A(n)
         coprime = n % p != 0

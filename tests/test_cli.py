@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from eopart import quadforms
+from eopart import partitions, quadforms
 from eopart.cli import main
 from eopart.quadforms import b_series_theta
 from eopart.series import eta_quotient_mod
@@ -115,6 +115,19 @@ class TestTable:
         )
         assert code == 2
         assert out == "" and "lost exactness" in err
+
+    def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch):
+        # an allocation the machine refuses must not land on exit 1, the
+        # counterexample code, with a traceback
+        def refuse(order, m):
+            raise MemoryError("Unable to allocate 763. MiB")
+
+        monkeypatch.setattr(partitions, "eobar_series_mod", refuse)
+        code, out, err = run(
+            capsys, "table", "--series", "eobar", "--order", "100000000", "--mod", "4"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: out of memory: Unable to allocate 763. MiB\n"
 
     def test_unwritable_out(self, capsys, tmp_path):
         code, _, err = run(

@@ -242,6 +242,32 @@ class TestSuites:
     def test_lemmas(self, p):
         assert V.verify_lemmas_3_2_to_3_5(p, 50).passed
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_hecke_and_lemmas_count_each_argument_once(self, p, monkeypatch):
+        A = quadforms.A_direct
+        for suite, n_max in ((V.verify_hecke, 200), (V.verify_lemmas_3_2_to_3_5, 50)):
+            runs = []
+            for _ in range(2):
+                calls = []
+                monkeypatch.setattr(quadforms, "A_direct", lambda n: calls.append(n) or A(n))
+                assert suite(p, n_max).passed
+                runs.append(calls)
+            # each argument once per call; the second call counts afresh
+            first, second = runs
+            assert first and len(first) == len(set(first)) and second == first, suite.__name__
+
+    def test_lemma_3_5_counterexample_survives_the_shared_values(self, monkeypatch):
+        # A(p^4 n) off by 2 where A(n) is even: lemma 3.3 (mod 2) still
+        # holds, so 3.5 (mod 4) is the first to fail
+        A, p = quadforms.A_direct, 5
+        n0 = next(n for n in range(2, 51, 12) if A(n) % 2 == 0)
+        monkeypatch.setattr(
+            quadforms, "A_direct", lambda n: A(n) + (2 if n == p**4 * n0 else 0)
+        )
+        rep = V.verify_lemmas_3_2_to_3_5(p, 50)
+        assert not rep.passed
+        assert rep.counterexample == {"lemma": "3.5", "n": n0}
+
     @pytest.mark.parametrize("p", [2, 3, 4, 25])
     def test_hecke_and_lemmas_refuse_p_outside_their_statements(self, p):
         # both are stated for primes p >= 5 only; p = 3 would report a false

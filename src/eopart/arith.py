@@ -8,11 +8,13 @@ Miller-Rabin to the 13 prime bases 2..41, exact below psi_13 (about
 Factorization is trial division by primes below 10^4, then Pollard rho
 on what survives, for one number at a time.  A scan over a progression
 a i + b reads odd_exponent_sieve instead: numpy strided slices divide out
-every prime up to min(sqrt(top), 2^16) at once.
+every prime up to min(sqrt(top), 2^16) at once.  All three read one
+table of the primes up to 2^16, built at import.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -24,7 +26,24 @@ import numpy as np
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981  # psi_13
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# Terms per block of odd_exponent_sieve: its working memory is a few arrays
+# of this length plus the sieving primes, however long the progression.
+_SIEVE_BLOCK = 1 << 16
+# Largest sieving bound; a cofactor at or past (bound + 1)^2 goes to factorize.
+_SIEVE_PRIME_CAP = 1 << 16
+
+
+def _primes_upto(limit: int) -> list[int]:
+    mark = np.ones(limit + 1, dtype=bool)
+    mark[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mark[p]:
+            mark[p * p :: p] = False
+    return np.flatnonzero(mark).tolist()
+
+
+# The one prime table: every prime up to the sieve's cap, in order.
+_PRIMES = _primes_upto(_SIEVE_PRIME_CAP)
 
 
 @dataclass(frozen=True)
@@ -55,7 +74,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _PRIMES[:15]:  # 2..47
         if n % p == 0:
             return n == p
     if n < 53 * 53:  # every composite below 53^2 has a prime factor <= 47
@@ -105,18 +124,14 @@ def factorize(n: int) -> Factorization:
         raise ValueError("factorize requires n >= 1")
     orig = n
     factors: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    for p in _PRIMES:
+        if p * p > n or p > 10**4:
+            break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    d = 53
-    while d * d <= n and d < 10**4:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 2
-    # Whatever survives has no prime factor below 10^4; split it recursively
-    # with rho, which finds such a factor in about sqrt(p) steps.
+    # Whatever survives is 1, a prime, or free of primes below 10^4; split it
+    # recursively with rho, which finds such a factor in about sqrt(p) steps.
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -129,22 +144,6 @@ def factorize(n: int) -> Factorization:
         stack.append(d)
         stack.append(m // d)
     return Factorization(orig, tuple(sorted(factors.items())))
-
-
-# Terms per block of odd_exponent_sieve: its working memory is a few arrays
-# of this length plus the sieving primes, however long the progression.
-_SIEVE_BLOCK = 1 << 16
-# Largest sieving bound; a cofactor at or past (bound + 1)^2 goes to factorize.
-_SIEVE_PRIME_CAP = 1 << 16
-
-
-def _primes_upto(limit: int) -> list[int]:
-    mark = np.ones(limit + 1, dtype=bool)
-    mark[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mark[p]:
-            mark[p * p :: p] = False
-    return np.flatnonzero(mark).tolist()
 
 
 def odd_exponent_sieve(a: int, b: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,7 +172,7 @@ def odd_exponent_sieve(a: int, b: int, count: int) -> tuple[np.ndarray, np.ndarr
     if max(a, top) >= 1 << 62:
         raise ValueError(f"step {a} and terms up to {top} must stay below 2^62")
     bound = min(math.isqrt(top), _SIEVE_PRIME_CAP)
-    primes = [p for p in _primes_upto(bound) if a % p]
+    primes = [p for p in _PRIMES[: bisect.bisect_right(_PRIMES, bound)] if a % p]
     first = [-b * pow(a, -1, p) % p for p in primes]  # least i with p | a i + b
     n_odd = np.zeros(count, dtype=np.int8)
     prime = np.zeros(count, dtype=np.int64)

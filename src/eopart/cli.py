@@ -16,23 +16,16 @@ import json
 import sys
 
 from . import partitions, quadforms, verify
-from .series import Series
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _A_series(order: int) -> Series:
-    """A(n) = a((n - 2) / 12) on n = 2 mod 12 and 0 elsewhere, through order."""
-    f = quadforms.f_series(order // 12 + 1)
-    return Series([f.c((n - 2) // 12) if n % 12 == 2 else 0 for n in range(order + 1)], order)
-
-
 # The exact series of each table, by name; each builder refuses order < 0.
 TABLE_SERIES = {
     "eobar": partitions.eobar_series,
-    "A": _A_series,
+    "A": quadforms.A_series,
     "a": quadforms.f_series,
     "b": quadforms.b_series,
     "r113": lambda order: quadforms.ternary_series(1, order),
@@ -40,16 +33,16 @@ TABLE_SERIES = {
 }
 
 
-def _emit(record: dict, fmt: str, out: str | None) -> int:
+def _emit(record: dict, fmt: str, out: str | None, columns: tuple[str, ...] = ()) -> int:
     if fmt == "json":
         text = json.dumps(record, indent=2, default=str) + "\n"
     else:
         buf = io.StringIO()
         rows = record["rows"]
-        if rows:
-            # suites report different details: every key gets a column, in
-            # first-seen order, and a row without it leaves the cell empty
-            fields = list(dict.fromkeys(k for row in rows for k in row))
+        # every key gets a column in first-seen order (a row without it leaves
+        # the cell empty); with no rows, the command's known columns are the header
+        fields = list(dict.fromkeys(k for row in rows for k in row)) or list(columns)
+        if fields:
             writer = csv.DictWriter(buf, fieldnames=fields)
             writer.writeheader()
             writer.writerows(rows)
@@ -67,11 +60,8 @@ def _emit(record: dict, fmt: str, out: str | None) -> int:
 
 
 def _record(args, rows: list[dict], status: str) -> dict:
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "format", "out") and v is not None
-    }
+    skip = ("command", "func", "format", "out")  # command is a top-level field
+    params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     return {"command": args.command, "parameters": params, "rows": rows, "status": status}
 
 
@@ -119,10 +109,9 @@ def cmd_table(args) -> int:
 
 def cmd_scan(args) -> int:
     fams = verify.scan_congruences(args.a_max, args.n_max)
-    rows = [
-        {"A": f.modulus_A, "B": f.residue_B, "trivial": f.trivial} for f in fams
-    ]
-    return _emit(_record(args, rows, "ok"), args.format, args.out)
+    columns = ("A", "B", "trivial")
+    rows = [dict(zip(columns, (f.modulus_A, f.residue_B, f.trivial))) for f in fams]
+    return _emit(_record(args, rows, "ok"), args.format, args.out, columns)
 
 
 def cmd_density(args) -> int:

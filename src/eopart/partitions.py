@@ -142,9 +142,14 @@ def eobar_series_mod(order: int, m: int) -> np.ndarray:
     overlapping ranges (tested, not assumed).
 
     For m dividing 4 no inverse is needed: J_2^2 = J_4 (mod 2) gives
-    J_2^4 = J_4^2 (mod 4), so J_4^3 / J_2^2 = J_2^2 J_4 (mod 4), two FFT
-    products instead of the Newton inversion of J_2^2 other moduli take.
+    J_2^4 = J_4^2 (mod 4), so J_4^3 / J_2^2 = J_2^2 J_4 = b(q^2) (mod 4) with
+    b = J_1^2 J_2: two FFT products at half the order fill the even positions,
+    where other moduli take the Newton inversion of J_2^2 at full order.
     """
     if m in (2, 4):
-        return eta_quotient_mod({2: 2, 4: 1}, {}, order, 4) % m
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
+        out = np.zeros(order + 1, dtype=np.int64)
+        out[::2] = eta_quotient_mod({1: 2, 2: 1}, {}, order // 2, 4) % m
+        return out
     return eta_quotient_mod({4: 3}, {2: 2}, order, m)

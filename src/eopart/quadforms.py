@@ -4,7 +4,7 @@ reduced-form count.
 
 The lattice loops (one ternary loop for r113/r133, and A_direct) are the
 pointwise oracles; theta products give the same families at scale
-(ternary_series, f_series), and the verify module cross-checks both.
+(ternary_series, f_series and A_series), and the verify module cross-checks both.
 All loop bounds come from integer square roots, never floating point.
 """
 
@@ -77,6 +77,12 @@ def f_series(order: int) -> Series:
     return mul(theta("square", order), power(theta("pent3", order, 2), 2))
 
 
+def A_series(order: int) -> Series:
+    """sum A(n) q^n: A(12k + 2) = a(k) from f_series, and A(n) = 0 off n = 2 mod 12."""
+    f = f_series(order // 12 + 1)
+    return Series([f.c((n - 2) // 12) if n % 12 == 2 else 0 for n in range(order + 1)], order)
+
+
 def b_series(order: int) -> Series:
     """sum b(n) q^n = J_1^2 J_2."""
     j1 = eta_factor(1, order)
@@ -122,7 +128,7 @@ def reduced_forms(D: int) -> list[ReducedForm]:
     forms = []
     a = 1
     while 3 * a * a <= -D:
-        for b in range(-a + 1, a + 1):
+        for b in range(-a + 1 + (a + 1 + D) % 2, a + 1, 2):  # b^2 = D mod 4 needs b = D mod 2
             num = b * b - D
             if num % (4 * a):
                 continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -66,6 +66,15 @@ def _first_nonzero_mod(coeffs_mod: np.ndarray, A: int, B: int, n_max: int, m: in
     """Least n <= n_max with coeffs_mod[A n + B] not 0 mod m, else None."""
     bad = np.flatnonzero(coeffs_mod[B::A][: n_max + 1] % m)
     return int(bad[0]) if len(bad) else None
+
+
+def _residues(coeffs_mod: np.ndarray | None, need: int, m: int, who: str) -> np.ndarray:
+    """EO-bar mod m through order need: the caller's array, refused if short, or a new one."""
+    if coeffs_mod is None:
+        return partitions.eobar_series_mod(need, m)
+    if len(coeffs_mod) <= need:
+        raise ValueError(f"truncation {len(coeffs_mod) - 1} too small; {who} needs order {need}")
+    return coeffs_mod
 
 
 def _check_prime_at_least_5(p: int) -> None:
@@ -123,13 +132,7 @@ def check_family(
         raise ValueError(f"family needs A >= 1, B >= 0 and 2 <= m <= 2^62, got {A}n+{B} mod {m}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    need = fam.argument(n_max)
-    if coeffs_mod is None:
-        coeffs_mod = partitions.eobar_series_mod(need, m)
-    elif len(coeffs_mod) <= need:
-        raise ValueError(
-            f"truncation {len(coeffs_mod) - 1} too small; family needs order {need}"
-        )
+    coeffs_mod = _residues(coeffs_mod, fam.argument(n_max), m, "family")
     name = f"family({A}n+{B})"
     n = _first_nonzero_mod(coeffs_mod, A, B, n_max, m)
     if n is not None:
@@ -151,11 +154,7 @@ def scan_congruences(
     """
     if a_max < 1 or n_max < 0:
         raise ValueError(f"a_max must be >= 1 and n_max >= 0, got a_max = {a_max}, n_max = {n_max}")
-    need = a_max * n_max + a_max - 1
-    if coeffs_mod is None:
-        coeffs_mod = partitions.eobar_series_mod(need, 4)
-    elif len(coeffs_mod) <= need:
-        raise ValueError(f"scan needs truncation order {need}")
+    coeffs_mod = _residues(coeffs_mod, a_max * n_max + a_max - 1, 4, "scan")
     found = []
     for A in range(1, a_max + 1):
         for B in range(A):
@@ -168,7 +167,7 @@ def scan_congruences(
 # --- identity and congruence suites ----------------------------------------
 
 
-def verify_triple_products(order: int = 2000) -> VerificationReport:
+def verify_triple_products(order: int) -> VerificationReport:
     """Both Jacobi triple product specializations, coefficientwise.
 
     The eta factors are the honest products, so this also checks the
@@ -186,7 +185,7 @@ def verify_triple_products(order: int = 2000) -> VerificationReport:
     return _report("triple-product", f"order {order}")
 
 
-def verify_eobar_oracle(n_max: int = 60) -> VerificationReport:
+def verify_eobar_oracle(n_max: int) -> VerificationReport:
     """Series vs enumeration, vanishing on odd n, and the mod-4 eta form.
 
     For n <= 40 the restricted walk's count must also equal the count of
@@ -214,18 +213,18 @@ def verify_eobar_oracle(n_max: int = 60) -> VerificationReport:
     return _report("eobar-oracle", f"n <= {n_max}")
 
 
-def verify_r113_A(n_max: int = 5000) -> VerificationReport:
+def verify_r113_A(n_max: int) -> VerificationReport:
     """4 A(n) = r113(n) on the support, A = 0 elsewhere: r113 from the theta
     product, A from its lattice loop; the r113 loop checks n <= 500.  On the
-    support the theta product f_series must give A(n) too."""
+    support A_series, read from the theta product f_series, must give A(n) too."""
     r113 = quadforms.ternary_series(1, n_max).coeffs
-    f = quadforms.f_series(max(n_max - 2, 0) // 12).coeffs
+    A = quadforms.A_series(n_max).coeffs
     for n in range(n_max + 1):
         r, direct = r113[n], quadforms.A_direct(n)
         if n % 12 == 2:
             if r != 4 * direct:
                 return _report("r113-A", f"n <= {n_max}", {"n": n, "r113": r, "direct": direct})
-            if (a := f[n // 12]) != direct:
+            if (a := A[n]) != direct:
                 return _report("r113-A", f"n <= {n_max}", {"n": n, "f_series": a, "direct": direct})
         elif direct != 0:
             return _report("r113-A", f"n <= {n_max}", {"n": n, "direct": direct})
@@ -234,14 +233,18 @@ def verify_r113_A(n_max: int = 5000) -> VerificationReport:
     return _report("r113-A", f"n <= {n_max}")
 
 
-def verify_classnumber(n_max: int = 2000) -> VerificationReport:
-    """r113(n) = r133(3n) = 2 h(-3n) for squarefree n = 2 mod 12."""
+def _h_minus_3n(n_max: int) -> Iterator[tuple[int, int]]:
+    """(n, h(-3n)) for each squarefree n = 2 mod 12 up to n_max (criteria 4 and 5)."""
     for n in range(2, n_max + 1, 12):
-        if not is_squarefree(n):
-            continue
+        if is_squarefree(n):
+            yield n, quadforms.class_number(3 * n)
+
+
+def verify_classnumber(n_max: int) -> VerificationReport:
+    """r113(n) = r133(3n) = 2 h(-3n) for squarefree n = 2 mod 12."""
+    for n, h in _h_minus_3n(n_max):
         r1 = quadforms.r113(n)
         r2 = quadforms.r133(3 * n)
-        h = quadforms.class_number(3 * n)
         if not (r1 == r2 == 2 * h):
             return _report(
                 "classnumber", f"n <= {n_max}", {"n": n, "r113": r1, "r133_3n": r2, "h": h}
@@ -249,7 +252,7 @@ def verify_classnumber(n_max: int = 2000) -> VerificationReport:
     return _report("classnumber", f"n <= {n_max}")
 
 
-def verify_h6p(p_max: int = 500) -> VerificationReport:
+def verify_h6p(p_max: int) -> VerificationReport:
     """h(-6p) = 4 mod 8 when p = 5,7 mod 8, else 0 mod 8, for gcd(6,p)=1.
 
     As stated this fails (first at p=17: h(-102)=4, not 0 mod 8); restricted
@@ -274,19 +277,16 @@ def verify_h6p(p_max: int = 500) -> VerificationReport:
     return rep
 
 
-def verify_genus(n_max: int = 2000) -> VerificationReport:
+def verify_genus(n_max: int) -> VerificationReport:
     """2^{t-1} divides h(-3n), t = number of distinct primes of 3n."""
-    for n in range(2, n_max + 1, 12):
-        if not is_squarefree(n):
-            continue
+    for n, h in _h_minus_3n(n_max):
         t = len(factorize(3 * n).factors)
-        h = quadforms.class_number(3 * n)
         if h % (1 << (t - 1)):
             return _report("genus", f"n <= {n_max}", {"n": n, "t": t, "h": h})
     return _report("genus", f"n <= {n_max}")
 
 
-def verify_hecke(p: int, n_max: int = 200) -> VerificationReport:
+def verify_hecke(p: int, n_max: int) -> VerificationReport:
     """A(p^2 n) + (-3n/p) A(n) + p A(n/p^2) = (p+1) A(n) for every n = 2 mod 12,
     p | n included: there (-3n/p) = 0, and the last term counts once p^2 | n.
     Refuses a p that is not a prime >= 5."""
@@ -303,7 +303,7 @@ def verify_hecke(p: int, n_max: int = 200) -> VerificationReport:
     return _report(name, f"n <= {n_max}")
 
 
-def verify_lemmas_3_2_to_3_5(p: int, n_max: int = 50) -> VerificationReport:
+def verify_lemmas_3_2_to_3_5(p: int, n_max: int) -> VerificationReport:
     """Prime-power congruences for A: the four mod-2 and mod-4 lemmas.
     Refuses a p that is not a prime >= 5."""
     _check_prime_at_least_5(p)
@@ -331,7 +331,7 @@ def verify_lemmas_3_2_to_3_5(p: int, n_max: int = 50) -> VerificationReport:
     return _report(name, f"n <= {n_max}")
 
 
-def verify_classification(n_max: int = 100_000) -> VerificationReport:
+def verify_classification(n_max: int) -> VerificationReport:
     """Certificate class equals A(n) mod 4 for every n = 2 mod 12 up to n_max.
 
     A(n) is read from the theta-product series f_series, which this suite
@@ -366,7 +366,7 @@ def verify_classification(n_max: int = 100_000) -> VerificationReport:
     return _report("classification", f"n <= {n_max}")
 
 
-def verify_eobar_equals_A(n_max: int = 2000) -> VerificationReport:
+def verify_eobar_equals_A(n_max: int) -> VerificationReport:
     """EO-bar(n) = A(6n+2) mod 4 for n <= n_max.
 
     Also records (report-only) whether the J_2^3 J_4 form matches
@@ -375,10 +375,9 @@ def verify_eobar_equals_A(n_max: int = 2000) -> VerificationReport:
     being a typo.
     """
     ser = partitions.eobar_series(n_max)
-    order = (6 * n_max) // 12 + 1
-    f = quadforms.f_series(order)
+    A = quadforms.A_series(6 * n_max + 2)
     for n in range(n_max + 1):
-        want = f.c(n // 2) % 4 if n % 2 == 0 else 0
+        want = A.c(6 * n + 2) % 4
         if ser.c(n) % 4 != want:
             return _report(
                 "eobar-A", f"n <= {n_max}", {"n": n, "eobar_mod4": ser.c(n) % 4, "A_mod4": want}
@@ -391,7 +390,7 @@ def verify_eobar_equals_A(n_max: int = 2000) -> VerificationReport:
     )
 
 
-def verify_a_eq_b(n_max: int = 2000) -> VerificationReport:
+def verify_a_eq_b(n_max: int) -> VerificationReport:
     """a(n) = b(n) mod 4, with b from both the eta and theta products."""
     b = quadforms.b_series(n_max)
     b_theta = quadforms.b_series_theta(n_max)
@@ -427,7 +426,7 @@ def theorem_families(max_k: int = 1) -> list[CongruenceFamily]:
     return fams
 
 
-def verify_families(order: int = 150_000) -> VerificationReport:
+def verify_families(order: int) -> VerificationReport:
     """Every theorem_families() family passes to the truncation bound; the
     seven example residues mod 25 and mod 49 are among them."""
     coeffs = partitions.eobar_series_mod(order, 4)

@@ -59,6 +59,12 @@ class TestIsPrime:
         for n in range(10**4):
             assert is_prime(n) == (n >= 2 and spf[n] == n), n
 
+    @pytest.mark.parametrize("n, prime", [(47, True), (53, True), (2809, False), (2021, False)])
+    def test_edges_of_the_trial_prefix(self, n, prime):
+        # 47 ends the trial prefix and 53 follows it; 2809 = 53^2 is the least
+        # composite with no factor in it, and 2021 = 43 * 47 falls to its last two
+        assert is_prime(n) == prime
+
     def test_psi_12_is_composite(self):
         # the least strong pseudoprime to the bases 2..37; base 41 exposes it
         assert not is_prime(PSI_12)
@@ -108,6 +114,21 @@ class TestFactorize:
             Factorization(12, ((2, 1), (3, 1)))
         with pytest.raises(ValueError):
             Factorization(12, ((4, 1), (3, 1)))
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            (9973, ((9973, 1),)),
+            (10007, ((10007, 1),)),
+            (9973 * 10007, ((9973, 1), (10007, 1))),
+            (9973**2, ((9973, 2),)),
+            (2**5 * 10007, ((2, 5), (10007, 1))),
+            (10007**2, ((10007, 2),)),
+        ],
+    )
+    def test_edges_of_the_trial_table(self, n, factors):
+        # 9973 is the last prime below 10^4 and 10007 the first past it
+        assert factorize(n).factors == factors
 
     def test_psi_12(self):
         assert factorize(PSI_12).factors == ((399165290221, 1), (798330580441, 1))
@@ -207,6 +228,15 @@ class TestOddExponentSieve:
         monkeypatch.undo()
         b = 65537**2 - 20
         assert _profile(1, b, 40) == _odd_exponent_pointwise(1, b, 40)
+
+    def test_bound_at_the_prime_cap(self):
+        # the top 1000003 * 4400 + 1 passes 2^32, so the sieve reads its
+        # whole prime table, up to 2^16
+        a, b, count = 1000003, 1, 4401
+        assert math.isqrt(a * (count - 1) + b) > arith._SIEVE_PRIME_CAP
+        got = _profile(a, b, count)
+        for i in [*range(0, count, 97), *range(count - 20, count)]:
+            assert [got[i]] == _odd_exponent_pointwise(1, a * i + b, 1), i
 
     def test_refusals(self):
         with pytest.raises(ValueError, match="gcd"):

@@ -53,7 +53,7 @@ class TestTable:
         )
         record = json.loads(json_out)
         assert record["command"] == "table"
-        assert record["parameters"]["series"] == "b"
+        assert record["parameters"] == {"series": "b", "order": 12}
         csv_rows = [(int(r["n"]), int(r["value"])) for r in parse_csv(csv_out)]
         json_rows = [(r["n"], r["value"]) for r in record["rows"]]
         assert csv_rows == json_rows
@@ -205,6 +205,14 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--a-max", "1", "--n-max", "10")
         assert code == 0
         assert parse_csv(out) == []
+
+    def test_no_rows_prints_the_header(self, capsys):
+        # EO-bar(0) = 1, so no family holds; the CSV is still a table
+        code, out, _ = run(capsys, "scan", "--a-max", "1", "--n-max", "0")
+        assert code == 0
+        assert out.splitlines() == ["A,B,trivial"]
+        _, out, _ = run(capsys, "scan", "--a-max", "1", "--n-max", "0", "--format", "json")
+        assert json.loads(out)["rows"] == []
 
     def test_bad_args(self, capsys):
         code, _, _ = run(capsys, "scan", "--a-max", "0", "--n-max", "10")

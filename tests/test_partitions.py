@@ -95,9 +95,12 @@ def test_mod_path_matches_exact():
 
 @pytest.mark.parametrize("m", [2, 4])
 def test_mod4_shortcut_matches_division(m):
-    # the division-free J_2^2 J_4 path against the division recurrence
-    arr = eobar_series_mod(3000, m)
-    assert arr.tolist() == eta_quotient_mod({4: 3}, {2: 2}, 3000, m).tolist()
+    # the division-free b(q^2) path, at half the order, against the division
+    # recurrence; odd orders and order // 2 = 0 are its edges
+    for order in (0, 1, 2, 3, 59, 3000):
+        arr = eobar_series_mod(order, m)
+        assert arr.tolist() == eta_quotient_mod({4: 3}, {2: 2}, order, m).tolist(), order
+        assert not arr[1::2].any(), order
 
 
 def test_newton_route_matches_shortcut_at_scale():

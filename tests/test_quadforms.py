@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from eopart.quadforms import (
     A_direct,
+    A_series,
     Mod4Class,
     ReducedForm,
     _ternary,
@@ -78,6 +81,17 @@ class TestACoefficients:
         for n in range(41):
             assert f.c(n) == A_direct(12 * n + 2), n
 
+    def test_A_series_matches_lattice(self):
+        assert A_series(3000).coeffs == [A_direct(n) for n in range(3001)]
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 14])
+    def test_A_series_small_orders(self, order):
+        assert A_series(order).coeffs == [A_direct(n) for n in range(order + 1)]
+
+    def test_A_series_refuses_negative_order(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            A_series(-1)
+
 
 class TestBCoefficients:
     def test_b0_b1(self):
@@ -121,6 +135,23 @@ class TestClassNumbers:
             reduced_forms(-6)
         with pytest.raises(ValueError):
             reduced_forms(5)
+
+    def test_reduced_forms_match_brute_force(self):
+        # every (a, b, c) with |b| <= a <= c, c fixed by b^2 - 4ac = D, kept
+        # when reduced (b >= 0 if |b| = a or a = c) and primitive; such a form
+        # has 3a^2 <= 4ac - b^2 = -D
+        for D in range(-2000, -2):
+            if D % 4 not in (0, 1):
+                continue
+            want = []
+            for a in range(1, math.isqrt(-D // 3) + 1):
+                for b in range(-a, a + 1):
+                    c, r = divmod(b * b - D, 4 * a)
+                    if r or c < a or (b < 0 and (-b == a or a == c)):
+                        continue
+                    if math.gcd(a, b, c) == 1:
+                        want.append((a, b, c))
+            assert [(f.a, f.b, f.c) for f in reduced_forms(D)] == want, D
 
     def test_reduced_form_validation(self):
         with pytest.raises(ValueError):

@@ -359,6 +359,25 @@ class TestSuites:
         assert rep.passed
         assert rep.details["n_families"] == 115
 
+    def test_default_ranges(self):
+        # the defaults live in SUITES alone; these are the ranges the
+        # benchmark and the README expect of a run with no bounds
+        want = {
+            "triple-product": ["order 2000"],
+            "eobar-oracle": ["n <= 60"],
+            "r113-A": ["n <= 5000"],
+            "classnumber": ["n <= 2000"],
+            "h6p": ["p <= 500"],
+            "genus": ["n <= 2000"],
+            "hecke": ["n <= 200"] * 4,
+            "lemmas33-35": ["n <= 50"] * 4,
+            "classification": ["n <= 100000"],
+            "eobar-A": ["n <= 2000"],
+            "a-eq-b": ["n <= 2000"],
+            "families": ["order 150000"],
+        }
+        assert {name: [r.range_checked for r in V.run_suite(name)] for name in V.SUITES} == want
+
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
             V.run_suite("bogus")

@@ -80,7 +80,7 @@ def f_series(order: int) -> Series:
 def A_series(order: int) -> Series:
     """sum A(n) q^n: A(12k + 2) = a(k) from f_series, and A(n) = 0 off n = 2 mod 12."""
     f = f_series(order // 12 + 1)
-    return Series([f.c((n - 2) // 12) if n % 12 == 2 else 0 for n in range(order + 1)], order)
+    return Series([f.c((n - 2) // 12) if n % 12 == 2 else 0 for n in range(order + 1)])
 
 
 def b_series(order: int) -> Series:

@@ -29,20 +29,21 @@ _THETA_EXPONENTS = {
 
 
 class Series:
-    """Dense truncated power series; immutable after construction."""
+    """Dense truncated power series; immutable after construction.
+
+    Built from its coefficients alone: Series(coeffs) holds q^0 .. q^order
+    with order = len(coeffs) - 1, and an empty list is refused with
+    ValueError.  Products and powers are spelled mul and power.
+    """
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Iterable[int], order: int | None = None):
+    def __init__(self, coeffs: Iterable[int]):
         c = list(coeffs)
-        if order is None:
-            order = len(c) - 1
-        if order < 0:
+        if not c:
             raise ValueError("order must be >= 0")
-        if len(c) != order + 1:
-            raise ValueError(f"got {len(c)} coefficients for order {order}")
         self.coeffs = c
-        self.order = order
+        self.order = len(c) - 1
 
     def c(self, n: int) -> int:
         """Coefficient of q^n; n must not exceed the truncation order."""
@@ -50,26 +51,8 @@ class Series:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return Series(self.coeffs[: order + 1], order)
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Series)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
-
-    def __mul__(self, other: "Series") -> "Series":
-        return mul(self, other)
-
-    def __pow__(self, e: int) -> "Series":
-        return power(self, e)
+        return isinstance(other, Series) and self.coeffs == other.coeffs
 
     def __repr__(self):
         head = self.coeffs[:8]
@@ -80,7 +63,7 @@ class Series:
 def one(order: int) -> Series:
     c = [0] * (order + 1)
     c[0] = 1
-    return Series(c, order)
+    return Series(c)
 
 
 def eta_factor(k: int, order: int) -> Series:
@@ -112,7 +95,7 @@ def eta_product(k: int, order: int) -> Series:
         # (1 - q^j) * c, in place: numpy reads an operand that overlaps the
         # output as if copied first, so no descending loop is needed
         c[j:] -= c[: order + 1 - j]
-    return Series(c.tolist(), order)
+    return Series(c.tolist())
 
 
 def theta_terms(kind: ThetaKind, order: int, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +131,7 @@ def _dense(terms: tuple[np.ndarray, np.ndarray], order: int) -> Series:
     c = [0] * (order + 1)
     for e, s in zip(*(t.tolist() for t in terms)):
         c[e] += s
-    return Series(c, order)
+    return Series(c)
 
 
 def theta(kind: ThetaKind, order: int, k: int = 1) -> Series:
@@ -167,7 +150,7 @@ def mul(a: Series, b: Series) -> Series:
                 if i + j > order:
                     break
                 res[i + j] += v * w
-    return Series(res, order)
+    return Series(res)
 
 
 def power(a: Series, e: int) -> Series:
@@ -199,14 +182,14 @@ def divide(num: Series, den: Series) -> Series:
                 break
             acc -= v * s[n - k]
         s[n] = acc if d0 == 1 else -acc
-    return Series(s, order)
+    return Series(s)
 
 
 def mod_reduce(a: Series, m: int) -> Series:
     """Every coefficient replaced by its least nonnegative residue mod m."""
     if m < 2:
         raise ValueError("mod_reduce needs m >= 2")
-    return Series([v % m for v in a.coeffs], a.order)
+    return Series([v % m for v in a.coeffs])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import partitions, quadforms
-from .arith import factorize, is_prime, is_squarefree, legendre, odd_exponent_sieve
+from .arith import factorize, is_prime, legendre, odd_exponent_sieve
 from .quadforms import Mod4Class, classify_mod4
 from .series import eta_factor, eta_product, mod_reduce, mul, power, theta
 
@@ -31,9 +31,6 @@ class CongruenceFamily:
     modulus_A: int
     residue_B: int
     congruence_modulus: int = 4
-    provenance: str = "scanned"  # "theorem1_1" or "scanned"
-    primes: tuple[int, ...] = ()
-    j: int | None = None
     trivial: bool = False  # all arguments odd, where the count vanishes
 
     def argument(self, n: int) -> int:
@@ -66,15 +63,6 @@ def _first_nonzero_mod(coeffs_mod: np.ndarray, A: int, B: int, n_max: int, m: in
     """Least n <= n_max with coeffs_mod[A n + B] not 0 mod m, else None."""
     bad = np.flatnonzero(coeffs_mod[B::A][: n_max + 1] % m)
     return int(bad[0]) if len(bad) else None
-
-
-def _residues(coeffs_mod: np.ndarray | None, need: int, m: int, who: str) -> np.ndarray:
-    """EO-bar mod m through order need: the caller's array, refused if short, or a new one."""
-    if coeffs_mod is None:
-        return partitions.eobar_series_mod(need, m)
-    if len(coeffs_mod) <= need:
-        raise ValueError(f"truncation {len(coeffs_mod) - 1} too small; {who} needs order {need}")
-    return coeffs_mod
 
 
 def _check_prime_at_least_5(p: int) -> None:
@@ -116,23 +104,36 @@ def family_from_theorem(primes: list[int], j: int) -> CongruenceFamily:
     # p_last (3j + p_last) = p_last^2 = 1 (mod 3), and offset_num = 0 (mod 3).
     offset_num = head * p_last * (3 * j + p_last) - 1
     B = (offset_num // 3) % A
-    return CongruenceFamily(A, B, 4, "theorem1_1", tuple(primes), j)
+    return CongruenceFamily(A, B)
 
 
 def check_family(
     fam: CongruenceFamily, n_max: int, coeffs_mod: np.ndarray | None = None
 ) -> VerificationReport:
-    """Check the family's congruence for 0 <= n <= n_max via the series path.
+    """Check EO-bar(A n + B) = 0 mod m for 0 <= n <= n_max via the series path.
+
+    Without coeffs_mod the residues mod m are built through order
+    A n_max + B.  A shared coeffs_mod carries no modulus: it must hold
+    EO-bar(n) reduced mod a multiple of the family's m (the residues mod 4
+    of eobar_series_mod for m = 4), and nothing here can tell.  An array of
+    residues mod 4 read for m = 8 gives a false pass:
+    check_family(CongruenceFamily(25, 3, 8), 100, eobar_series_mod(3000, 4))
+    reports PASS, yet without the array the family fails at n = 1.
 
     Refuses, before any array is built or read, n_max < 0 and a malformed
-    family (A < 1, B < 0, or m outside 2..2^62).
+    family (A < 1, B < 0, or m outside 2..2^62); refuses a coeffs_mod too
+    short to reach A n_max + B.
     """
     A, B, m = fam.modulus_A, fam.residue_B, fam.congruence_modulus
     if A < 1 or B < 0 or not 2 <= m <= 1 << 62:
         raise ValueError(f"family needs A >= 1, B >= 0 and 2 <= m <= 2^62, got {A}n+{B} mod {m}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    coeffs_mod = _residues(coeffs_mod, fam.argument(n_max), m, "family")
+    need = fam.argument(n_max)
+    if coeffs_mod is None:
+        coeffs_mod = partitions.eobar_series_mod(need, m)
+    elif len(coeffs_mod) <= need:
+        raise ValueError(f"truncation {len(coeffs_mod) - 1} too small; family needs order {need}")
     name = f"family({A}n+{B})"
     n = _first_nonzero_mod(coeffs_mod, A, B, n_max, m)
     if n is not None:
@@ -143,24 +144,24 @@ def check_family(
     return _report(name, f"n <= {n_max}")
 
 
-def scan_congruences(
-    a_max: int, n_max: int, coeffs_mod: np.ndarray | None = None
-) -> list[CongruenceFamily]:
+def scan_congruences(a_max: int, n_max: int) -> list[CongruenceFamily]:
     """All (A <= a_max, B < A) with EO-bar(An+B) = 0 mod 4 up to n_max.
 
-    Families whose arguments are all odd hold vacuously (the count is zero
-    on odd numbers); these are flagged trivial, not dropped.  Refuses
-    a_max < 1 and n_max < 0 before any array is built or read.
+    One eobar_series_mod array through order a_max n_max + a_max - 1, the
+    largest argument, serves every pair.  Families whose arguments are all
+    odd hold vacuously (the count is zero on odd numbers); these are
+    flagged trivial, not dropped.  Refuses a_max < 1 and n_max < 0 before
+    any array is built.
     """
     if a_max < 1 or n_max < 0:
         raise ValueError(f"a_max must be >= 1 and n_max >= 0, got a_max = {a_max}, n_max = {n_max}")
-    coeffs_mod = _residues(coeffs_mod, a_max * n_max + a_max - 1, 4, "scan")
+    coeffs_mod = partitions.eobar_series_mod(a_max * n_max + a_max - 1, 4)
     found = []
     for A in range(1, a_max + 1):
         for B in range(A):
             if _first_nonzero_mod(coeffs_mod, A, B, n_max, 4) is None:
                 trivial = A % 2 == 0 and B % 2 == 1
-                found.append(CongruenceFamily(A, B, 4, "scanned", trivial=trivial))
+                found.append(CongruenceFamily(A, B, trivial=trivial))
     return found
 
 
@@ -214,35 +215,48 @@ def verify_eobar_oracle(n_max: int) -> VerificationReport:
 
 
 def verify_r113_A(n_max: int) -> VerificationReport:
-    """4 A(n) = r113(n) on the support, A = 0 elsewhere: r113 from the theta
-    product, A from its lattice loop; the r113 loop checks n <= 500.  On the
-    support A_series, read from the theta product f_series, must give A(n) too."""
+    """4 A(n) = r113(n) on the support n = 2 mod 12, and A(n) = 0 off it.
+
+    r113 comes from the theta product and A(n) from the A_direct lattice
+    loop.  On the support, for every n <= n_max, the loop's A(n) must give
+    r113(n) / 4 and match A_series, read from the theta product f_series.
+    Off the support A(n) = 0 by congruence, so the loop runs there only
+    for n <= 500, the range on which the r113 loop checks the theta
+    product too.  The walk ascends, so the first counterexample is the
+    least n that fails.
+    """
     r113 = quadforms.ternary_series(1, n_max).coeffs
     A = quadforms.A_series(n_max).coeffs
     for n in range(n_max + 1):
-        r, direct = r113[n], quadforms.A_direct(n)
+        r = r113[n]
         if n % 12 == 2:
+            direct = quadforms.A_direct(n)
             if r != 4 * direct:
                 return _report("r113-A", f"n <= {n_max}", {"n": n, "r113": r, "direct": direct})
             if (a := A[n]) != direct:
                 return _report("r113-A", f"n <= {n_max}", {"n": n, "f_series": a, "direct": direct})
-        elif direct != 0:
+        elif n <= 500 and (direct := quadforms.A_direct(n)) != 0:
             return _report("r113-A", f"n <= {n_max}", {"n": n, "direct": direct})
         if n <= 500 and (loop := quadforms.r113(n)) != r:
             return _report("r113-A", f"n <= {n_max}", {"n": n, "r113": r, "loop": loop})
     return _report("r113-A", f"n <= {n_max}")
 
 
-def _h_minus_3n(n_max: int) -> Iterator[tuple[int, int]]:
-    """(n, h(-3n)) for each squarefree n = 2 mod 12 up to n_max (criteria 4 and 5)."""
+def _h_minus_3n(n_max: int) -> Iterator[tuple[int, int, int]]:
+    """(n, t, h(-3n)) for each squarefree n = 2 mod 12 up to n_max (criteria 4 and 5).
+
+    t is the number of distinct primes of 3n.  One factorize(n) decides
+    squarefreeness and gives t, since n = 2 mod 12 is prime to 3.
+    """
     for n in range(2, n_max + 1, 12):
-        if is_squarefree(n):
-            yield n, quadforms.class_number(3 * n)
+        factors = factorize(n).factors
+        if all(e == 1 for _, e in factors):
+            yield n, len(factors) + 1, quadforms.class_number(3 * n)
 
 
 def verify_classnumber(n_max: int) -> VerificationReport:
     """r113(n) = r133(3n) = 2 h(-3n) for squarefree n = 2 mod 12."""
-    for n, h in _h_minus_3n(n_max):
+    for n, _, h in _h_minus_3n(n_max):
         r1 = quadforms.r113(n)
         r2 = quadforms.r133(3 * n)
         if not (r1 == r2 == 2 * h):
@@ -279,8 +293,7 @@ def verify_h6p(p_max: int) -> VerificationReport:
 
 def verify_genus(n_max: int) -> VerificationReport:
     """2^{t-1} divides h(-3n), t = number of distinct primes of 3n."""
-    for n, h in _h_minus_3n(n_max):
-        t = len(factorize(3 * n).factors)
+    for n, t, h in _h_minus_3n(n_max):
         if h % (1 << (t - 1)):
             return _report("genus", f"n <= {n_max}", {"n": n, "t": t, "h": h})
     return _report("genus", f"n <= {n_max}")

@@ -1,5 +1,6 @@
 """README's lists of names and the registries they document stay equal."""
 
+import argparse
 import re
 import typing
 from pathlib import Path
@@ -22,3 +23,24 @@ def test_table_series_are_the_registry():
 def test_theta_kinds_are_the_exponent_table():
     kinds = [k for form in series._THETA_EXPONENTS for k in (form, f"{form}_alt")]
     assert list(typing.get_args(series.ThetaKind)) == kinds
+
+
+def test_cli_synopsis_is_the_parser():
+    # each synopsis line lists its subcommand's own options in parser
+    # order; --format and --out are stated once for every command
+    block = re.search(r"^## CLI\n\n```\n(.*?)```", README, re.S | re.M).group(1)
+    synopsis = {}
+    for line in block.splitlines():
+        _, command, rest = line.split(maxsplit=2)
+        synopsis[command] = re.findall(r"--[\w-]+", rest)
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    shared = {"--help", "--format", "--out"}
+    parsed = {
+        command: [s for a in p._actions for s in a.option_strings if s.startswith("--")]
+        for command, p in sub.choices.items()
+    }
+    assert synopsis == {c: [s for s in opts if s not in shared] for c, opts in parsed.items()}
+    assert all({"--format", "--out"} <= set(opts) for opts in parsed.values())
+    assert README.count("All commands accept `--format csv|json` and `--out PATH`") == 1

@@ -7,14 +7,13 @@ import eopart.verify as V
 from eopart import partitions, quadforms
 from eopart.arith import factorize
 from eopart.partitions import eobar_series_mod
-from eopart.series import Series, eta_quotient_mod
+from eopart.series import Series, eta_quotient_mod, mul
 
 
 class TestFamilyFromTheorem:
     def test_p5_j1(self):
         f = V.family_from_theorem([5], 1)
         assert (f.modulus_A, f.residue_B) == (25, 13)
-        assert f.provenance == "theorem1_1"
 
     def test_p7_j1_condition_ii(self):
         f = V.family_from_theorem([7], 1)
@@ -112,10 +111,7 @@ class TestScan:
 
     def test_bad_args_refused(self, monkeypatch):
         # with n_max < 0 every (A, B) would hold vacuously, (1, 0) included,
-        # though EO-bar(0) = 1
-        arr = eobar_series_mod(1000, 4)
-        with pytest.raises(ValueError, match="n_max = -1"):
-            V.scan_congruences(3, -1, arr)
+        # though EO-bar(0) = 1; refused before any array is built
         monkeypatch.setattr(partitions, "eobar_series_mod", None)
         with pytest.raises(ValueError, match="a_max must be >= 1"):
             V.scan_congruences(0, 10)
@@ -126,7 +122,7 @@ class TestScan:
         arr = eobar_series_mod(12 * 100 + 11, 4)
         want = [(A, B) for A in range(1, 13) for B in range(A)
                 if all(arr[A * n + B] % 4 == 0 for n in range(101))]
-        found = V.scan_congruences(12, 100, arr)
+        found = V.scan_congruences(12, 100)
         assert [(f.modulus_A, f.residue_B) for f in found] == want
         assert [f.trivial for f in found] == [A % 2 == 0 and B % 2 == 1 for A, B in want]
 
@@ -206,6 +202,22 @@ class TestSuites:
             "n": 62, "f_series": direct + 1, "direct": direct
         }
 
+    def test_r113_A_off_support_counterexample(self, monkeypatch):
+        A = quadforms.A_direct
+        monkeypatch.setattr(quadforms, "A_direct", lambda n: 1 if n == 13 else A(n))
+        assert V.verify_r113_A(400).counterexample == {"n": 13, "direct": 1}
+
+    def test_r113_A_runs_the_lattice_loop_where_read(self, monkeypatch):
+        # every n = 2 mod 12 up to 5000 (417), and off the support only
+        # n <= 500 (459): 876 lattice counts, not 5001
+        A = quadforms.A_direct
+        calls = []
+        monkeypatch.setattr(quadforms, "A_direct", lambda n: calls.append(n) or A(n))
+        assert V.run_suite("r113-A")[0].passed
+        assert len(calls) == 876
+        assert calls == sorted(set(calls))
+        assert all(n % 12 == 2 or n <= 500 for n in calls)
+
     @pytest.mark.parametrize("n_max", [0, 1, 2])
     def test_r113_A_tiny_range(self, n_max):
         assert V.verify_r113_A(n_max).passed
@@ -215,6 +227,12 @@ class TestSuites:
 
     def test_genus(self):
         assert V.verify_genus(500).passed
+
+    def test_genus_factors_each_n_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(V, "factorize", lambda n: calls.append(n) or factorize(n))
+        assert V.verify_genus(500).passed
+        assert calls == list(range(2, 501, 12))
 
     def test_h6p_fails_at_17_but_holds_on_1_mod_6(self):
         # the quoted dichotomy is false as stated: h(-102) = 4, yet
@@ -351,7 +369,7 @@ class TestSuites:
     def test_a_eq_b_route_counterexample(self, monkeypatch):
         b_theta = quadforms.b_series_theta
         bump = lambda n: Series([1, *[0] * 10, 1, *[0] * (n - 11)])  # times 1 + q^11
-        monkeypatch.setattr(quadforms, "b_series_theta", lambda n: b_theta(n) * bump(n))
+        monkeypatch.setattr(quadforms, "b_series_theta", lambda n: mul(b_theta(n), bump(n)))
         assert V.verify_a_eq_b(40).counterexample == {"n": 11, "b_route_mismatch": True}
 
     def test_families(self):

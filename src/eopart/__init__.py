@@ -6,7 +6,6 @@ from .arith import (
     Factorization,
     factorize,
     is_prime,
-    is_square,
     is_squarefree,
     legendre,
     odd_exponent_sieve,

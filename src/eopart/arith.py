@@ -1,6 +1,6 @@
 """Elementary number theory: primality, factorization, the odd-exponent
-sieve over an arithmetic progression, Legendre symbols, square and
-squarefree detection.
+sieve over an arithmetic progression, Legendre symbols and the
+squarefree test.
 
 Everything here is exact integer arithmetic.  Primality is deterministic
 Miller-Rabin to the 13 prime bases 2..41, exact below psi_13 (about
@@ -224,14 +224,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     s = pow(a, (p - 1) // 2, p)
     return 1 if s == 1 else -1
-
-
-def is_square(n: int) -> tuple[bool, int]:
-    """Exact square test; returns (True, root) or (False, 0)."""
-    if n < 0:
-        raise ValueError("is_square requires n >= 0")
-    r = math.isqrt(n)
-    return (True, r) if r * r == n else (False, 0)
 
 
 def is_squarefree(n: int) -> bool:

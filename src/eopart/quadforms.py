@@ -5,7 +5,8 @@ reduced-form count.
 The lattice loops (one ternary loop for r113/r133, and A_direct) are the
 pointwise oracles; theta products give the same families at scale
 (ternary_series, f_series and A_series), and the verify module cross-checks both.
-All loop bounds come from integer square roots, never floating point.
+All loop bounds come from integer square roots, never floating point, and
+each loop tests its own square with math.isqrt.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, is_square, is_squarefree
+from .arith import factorize, is_squarefree
 from .series import Series, eta_factor, mul, power, theta
 
 
@@ -28,8 +29,9 @@ def _ternary(n: int, b: int) -> int:
         rem = n - 3 * z * z
         for y in range(math.isqrt(rem // b) + 1):
             wy = 2 if y else 1
-            ok, x = is_square(rem - b * y * y)
-            if ok:
+            t = rem - b * y * y
+            x = math.isqrt(t)
+            if x * x == t:
                 total += wz * wy * (2 if x else 1)
     return total
 
@@ -63,12 +65,11 @@ def A_direct(n: int) -> int:
         rem = n - 12 * z * z
         r = math.isqrt(rem)
         for u in range(-r + (1 + r) % 6, r + 1, 6):
-            ok, w = is_square(rem - u * u)
-            if ok:
-                if w % 6 == 1:
-                    total += wz
-                if w and (-w) % 6 == 1:
-                    total += wz
+            t = rem - u * u
+            w = math.isqrt(t)
+            # w >= 0: at most one of w, -w is 1 mod 6, and w = 0 is neither
+            if w * w == t and w % 6 in (1, 5):
+                total += wz
     return total
 
 

@@ -126,17 +126,17 @@ def theta_terms(kind: ThetaKind, order: int, k: int = 1) -> tuple[np.ndarray, np
     return exps[keep], signs[keep]
 
 
-def _dense(terms: tuple[np.ndarray, np.ndarray], order: int) -> Series:
-    """Series of order `order` holding the sum of the (exponent, sign) terms."""
-    c = [0] * (order + 1)
-    for e, s in zip(*(t.tolist() for t in terms)):
-        c[e] += s
-    return Series(c)
+def _scatter(kind: ThetaKind, order: int, k: int) -> np.ndarray:
+    """theta_terms summed into int64 coefficients of q^0 .. q^order, each in -2..2."""
+    terms = theta_terms(kind, order, k)  # refuses before order sizes an array
+    c = np.zeros(order + 1, dtype=np.int64)
+    np.add.at(c, *terms)
+    return c
 
 
 def theta(kind: ThetaKind, order: int, k: int = 1) -> Series:
     """Lacunary series sum_{n in Z} (+-1)^n q^{k e(n)} through order (kinds, k: theta_terms)."""
-    return _dense(theta_terms(kind, order, k), order)
+    return Series(_scatter(kind, order, k).tolist())
 
 
 def mul(a: Series, b: Series) -> Series:
@@ -196,8 +196,8 @@ def mod_reduce(a: Series, m: int) -> Series:
 # Reduced (mod m) fast path.
 #
 # At congruence-only scale (order ~10^6) every coefficient lives reduced
-# mod m.  Each eta factor J_k = sum_j (-1)^j q^{k j(3j-1)/2} is scattered
-# from theta_terms("pent3_alt", order, k), the builder eta_factor reads;
+# mod m.  Each eta factor J_k = sum_j (-1)^j q^{k j(3j-1)/2} is
+# _scatter("pent3_alt", order, k), the scatter eta_factor reads, mod m;
 # every product is one FFT convolution (_mul_mod) and every quotient one
 # Newton inversion (_inv_mod), O(N log N) for any modulus.  The exact
 # Series routines above are its oracle.
@@ -274,9 +274,7 @@ def eta_quotient_mod(
     def product(powers: dict[int, int]) -> np.ndarray:
         factors = []
         for k, e in powers.items():
-            j = np.zeros(order + 1, dtype=np.int64)
-            np.add.at(j, *theta_terms("pent3_alt", order, k))
-            factors += [j % m] * e
+            factors += [_scatter("pent3_alt", order, k) % m] * e
         if not factors:
             return np.eye(1, order + 1, dtype=np.int64)[0]
         return reduce(lambda x, y: _mul_mod(x, y, m), factors)

@@ -10,7 +10,6 @@ from eopart.arith import (
     Factorization,
     factorize,
     is_prime,
-    is_square,
     is_squarefree,
     legendre,
     odd_exponent_sieve,
@@ -283,11 +282,6 @@ class TestLegendre:
 
 
 class TestSquares:
-    def test_is_square(self):
-        assert is_square(0) == (True, 0)
-        assert is_square(49) == (True, 7)
-        assert is_square(199) == (False, 0)
-
     def test_is_squarefree(self):
         assert is_squarefree(1) and is_squarefree(30) and is_squarefree(3 * 5 * 7 * 11)
         assert not is_squarefree(18) and not is_squarefree(2 * 5**5 * 49)

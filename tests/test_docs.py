@@ -44,3 +44,27 @@ def test_cli_synopsis_is_the_parser():
     assert synopsis == {c: [s for s in opts if s not in shared] for c, opts in parsed.items()}
     assert all({"--format", "--out"} <= set(opts) for opts in parsed.values())
     assert README.count("All commands accept `--format csv|json` and `--out PATH`") == 1
+
+
+def _example(command):
+    """argv and comment of README's example line for one subcommand."""
+    line = re.search(rf"^eopart {command} (.*?)\s+# (.*)$", README, re.M)
+    return [command, *line.group(1).split()], line.group(2)
+
+
+def test_table_example_prints_its_last_row(capsys):
+    argv, comment = _example("table")
+    assert (argv, comment) == (["table", "--series", "eobar", "--order", "8"], "last row: 8,5")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.split()[-1] == "8,5"
+
+
+def test_scan_example_finds_its_residues(capsys):
+    argv, comment = _example("scan")
+    assert (argv, comment) == (
+        ["scan", "--a-max", "25", "--n-max", "400"],
+        "finds residues 3,13,18,23 mod 25",
+    )
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.split()
+    assert [r for r in rows if r.startswith("25,")] == [f"25,{b},False" for b in (3, 13, 18, 23)]

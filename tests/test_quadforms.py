@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 
 import pytest
@@ -37,15 +39,29 @@ class TestRepresentationNumbers:
             assert r133(3 * n) == r113(n), n
 
     def test_brute_force_cross_check(self):
-        import itertools
+        # each count against its definition, tallied over a box that holds
+        # every solution for n <= N: |x| <= isqrt(N / coefficient)
+        N = 300
+        box = lambda c: range(-math.isqrt(N // c), math.isqrt(N // c) + 1)
+        # (6x+1)^2 <= N needs -isqrt(N) <= 6x+1 <= isqrt(N)
+        sixth = range(-((math.isqrt(N) + 1) // 6), (math.isqrt(N) - 1) // 6 + 1)
+        cases = [
+            (r113, lambda x, y, z: x * x + y * y + 3 * z * z, (box(1), box(1), box(3))),
+            (r133, lambda x, y, z: x * x + 3 * y * y + 3 * z * z, (box(1), box(3), box(3))),
+            (
+                A_direct,
+                lambda x, y, z: (6 * x + 1) ** 2 + (6 * y + 1) ** 2 + 12 * z * z,
+                (sixth, sixth, box(12)),
+            ),
+        ]
+        for count, form, boxes in cases:
+            tally = collections.Counter(form(*v) for v in itertools.product(*boxes))
+            assert [count(n) for n in range(N + 1)] == [tally[n] for n in range(N + 1)], count
 
-        for n in range(40):
-            count = sum(
-                1
-                for x, y, z in itertools.product(range(-7, 8), repeat=3)
-                if x * x + y * y + 3 * z * z == n
-            )
-            assert r113(n) == count, n
+    @pytest.mark.parametrize("count", [r113, r133, A_direct])
+    def test_negative_n_refused(self, count):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            count(-1)
 
 
 class TestTernarySeries:

@@ -396,6 +396,12 @@ class TestSuites:
         }
         assert {name: [r.range_checked for r in V.run_suite(name)] for name in V.SUITES} == want
 
+    def test_eobar_oracle_stops_at_the_enumeration_guard(self):
+        # a refusal here would break verify --suite all --limit 100 for
+        # every suite; the range string says where the suite stopped
+        [rep] = V.run_suite("eobar-oracle", limit=100)
+        assert rep.passed and rep.range_checked == "n <= 70"
+
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
             V.run_suite("bogus")

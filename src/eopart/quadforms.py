@@ -2,11 +2,15 @@
 a(n) = A(12n + 2), b(n), and imaginary-quadratic class numbers by
 reduced-form count.
 
-The lattice loops (one ternary loop for r113/r133, and A_direct) are the
+The lattice counts (one ternary kernel for r113/r133, and A_direct) are the
 pointwise oracles; theta products give the same families at scale
 (ternary_series, f_series and A_series), and the verify module cross-checks both.
-All loop bounds come from integer square roots, never floating point, and
-each loop tests its own square with math.isqrt.
+The lattice counts and reduced_forms walk numpy grids of cells in tiles of
+at most _CELLS cells, so working memory is bounded at any argument.  Grid
+bounds come from math.isqrt.  A lattice cell takes the float64 square root
+of t as its candidate root x and counts only when x * x == t holds exactly
+in int64; that candidate is exact only for t < 2**52, so n >= 2**52 (and
+D <= -2**52) is refused.
 """
 
 from __future__ import annotations
@@ -15,24 +19,53 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import factorize, is_squarefree
 from .series import Series, eta_factor, mul, power, theta
 
 
-def _ternary(n: int, b: int) -> int:
-    """Number of integer triples with x^2 + b y^2 + 3 z^2 = n."""
+_LIMIT = 2**52  # every t below it is a float64 whose sqrt is exact on squares
+_CELLS = 1 << 14  # cells per grid tile
+
+
+def _check_n(n: int) -> None:
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n >= _LIMIT:
+        raise ValueError("n must be < 2**52")
+
+
+def _tiles(rows: range, cols: range):
+    """The rows x cols grid as (row, col) int64 arrays of at most _CELLS cells,
+    in row-major order: a row longer than _CELLS is split into tiles one row tall."""
+    width = max(1, min(len(cols), _CELLS))
+    height = max(1, _CELLS // width)
+    for i in range(0, len(rows), height):
+        r = rows[i : i + height]
+        row = np.arange(r.start, r.stop, r.step, dtype=np.int64)
+        for j in range(0, len(cols), width):
+            c = cols[j : j + width]
+            yield row, np.arange(c.start, c.stop, c.step, dtype=np.int64)
+
+
+def _square_cells(n: int, c: int, b: int, us: range):
+    """Cells (z, u), z <= isqrt(n // c) and u in us, where t = n - c z^2 - b u^2
+    is a square x^2, as (z, u, x) arrays per tile."""
+    for z, u in _tiles(range(math.isqrt(n // c) + 1), us):
+        t = (n - c * z * z)[:, None] - b * u * u
+        x = np.sqrt(np.abs(t)).astype(np.int64)  # t < 0 never equals x * x
+        i, j = np.nonzero(x * x == t)
+        yield z[i], u[j], x[i, j]
+
+
+def _ternary(n: int, b: int) -> int:
+    """Number of integer triples with x^2 + b y^2 + 3 z^2 = n."""
+    _check_n(n)
     total = 0
-    for z in range(math.isqrt(n // 3) + 1):
-        wz = 2 if z else 1
-        rem = n - 3 * z * z
-        for y in range(math.isqrt(rem // b) + 1):
-            wy = 2 if y else 1
-            t = rem - b * y * y
-            x = math.isqrt(t)
-            if x * x == t:
-                total += wz * wy * (2 if x else 1)
+    for z, y, x in _square_cells(n, 3, b, range(math.isqrt(n // b) + 1)):
+        # a nonzero coordinate counts for both of its signs
+        total += int(((1 + (z > 0)) * (1 + (y > 0)) * (1 + (x > 0))).sum())
     return total
 
 
@@ -57,19 +90,13 @@ def A_direct(n: int) -> int:
 
     Direct lattice route to A(n); the r113/4 route must agree.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_n(n)
+    r = math.isqrt(n)
     total = 0
-    for z in range(math.isqrt(n // 12) + 1):
-        wz = 2 if z else 1
-        rem = n - 12 * z * z
-        r = math.isqrt(rem)
-        for u in range(-r + (1 + r) % 6, r + 1, 6):
-            t = rem - u * u
-            w = math.isqrt(t)
-            # w >= 0: at most one of w, -w is 1 mod 6, and w = 0 is neither
-            if w * w == t and w % 6 in (1, 5):
-                total += wz
+    # u = 6y + 1 runs over u = 1 mod 6 in [-r, r]
+    for z, _, w in _square_cells(n, 12, 1, range(-r + (1 + r) % 6, r + 1, 6)):
+        # w >= 0: one of w, -w is 1 mod 6 exactly when gcd(w, 6) = 1
+        total += int(((1 + (z > 0)) * (np.gcd(w, 6) == 1)).sum())
     return total
 
 
@@ -126,21 +153,20 @@ def reduced_forms(D: int) -> list[ReducedForm]:
     """All reduced primitive forms of discriminant D < 0."""
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"{D} is not a negative discriminant")
+    if D <= -_LIMIT:
+        raise ValueError("D must be > -2**52")
     forms = []
-    a = 1
-    while 3 * a * a <= -D:
-        for b in range(-a + 1 + (a + 1 + D) % 2, a + 1, 2):  # b^2 = D mod 4 needs b = D mod 2
-            num = b * b - D
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and a == c:
-                continue
-            if math.gcd(a, math.gcd(b, c)) == 1:
-                forms.append(ReducedForm(a, b, c))
-        a += 1
+    # 3a^2 <= -D; b^2 = D mod 4 needs b = D mod 2, and -a < b <= a
+    a_max = math.isqrt(-D // 3)
+    bs = range(-a_max + 1 + (a_max + 1 + D) % 2, a_max + 1, 2)
+    for a, b in _tiles(range(1, a_max + 1), bs):
+        num = b * b - D
+        col = a[:, None]
+        i, j = np.nonzero((num % (4 * col) == 0) & (-col < b) & (b <= col))
+        a, b, num = a[i], b[j], num[j]
+        c = num // (4 * a)
+        keep = (c >= a) & ((b >= 0) | (a != c)) & (np.gcd(np.gcd(a, b), c) == 1)
+        forms += map(ReducedForm, a[keep].tolist(), b[keep].tolist(), c[keep].tolist())
     return forms
 
 

@@ -4,11 +4,13 @@ import math
 
 import pytest
 
+from eopart import quadforms
 from eopart.quadforms import (
     A_direct,
     A_series,
     Mod4Class,
     ReducedForm,
+    _tiles,
     _ternary,
     b_series,
     b_series_theta,
@@ -20,6 +22,57 @@ from eopart.quadforms import (
     reduced_forms,
     ternary_series,
 )
+
+
+# The pure-Python loops the numpy grids replaced, kept as the reference.
+def _ternary_loop(n, b):
+    total = 0
+    for z in range(math.isqrt(n // 3) + 1):
+        wz = 2 if z else 1
+        rem = n - 3 * z * z
+        for y in range(math.isqrt(rem // b) + 1):
+            wy = 2 if y else 1
+            t = rem - b * y * y
+            x = math.isqrt(t)
+            if x * x == t:
+                total += wz * wy * (2 if x else 1)
+    return total
+
+
+def _A_direct_loop(n):
+    total = 0
+    for z in range(math.isqrt(n // 12) + 1):
+        wz = 2 if z else 1
+        rem = n - 12 * z * z
+        r = math.isqrt(rem)
+        for u in range(-r + (1 + r) % 6, r + 1, 6):
+            t = rem - u * u
+            w = math.isqrt(t)
+            if w * w == t and w % 6 in (1, 5):
+                total += wz
+    return total
+
+
+_LOOPS = {
+    r113: lambda n: _ternary_loop(n, 1),
+    r133: lambda n: _ternary_loop(n, 3),
+    A_direct: _A_direct_loop,
+}
+
+
+def _reduced_forms_brute(D):
+    # every (a, b, c) with |b| <= a <= c, c fixed by b^2 - 4ac = D, kept
+    # when reduced (b >= 0 if |b| = a or a = c) and primitive; such a form
+    # has 3a^2 <= 4ac - b^2 = -D
+    want = []
+    for a in range(1, math.isqrt(-D // 3) + 1):
+        for b in range(-a, a + 1):
+            c, r = divmod(b * b - D, 4 * a)
+            if r or c < a or (b < 0 and (-b == a or a == c)):
+                continue
+            if math.gcd(a, b, c) == 1:
+                want.append((a, b, c))
+    return want
 
 
 class TestRepresentationNumbers:
@@ -62,6 +115,52 @@ class TestRepresentationNumbers:
     def test_negative_n_refused(self, count):
         with pytest.raises(ValueError, match="n must be >= 0"):
             count(-1)
+
+    @pytest.mark.parametrize("count", [r113, r133, A_direct])
+    def test_float_bound_refused(self, count):
+        # the float64 square-root candidate is exact only below 2**52
+        with pytest.raises(ValueError, match=r"n must be < 2\*\*52"):
+            count(2**52)
+
+    def test_reduced_forms_refuse_float_bound(self):
+        with pytest.raises(ValueError, match=r"D must be > -2\*\*52"):
+            reduced_forms(-(2**52))
+
+    @pytest.mark.parametrize("count", [r113, r133, A_direct])
+    def test_matches_reference_loop(self, count):
+        loop = _LOOPS[count]
+        assert [count(n) for n in range(3001)] == [loop(n) for n in range(3001)]
+
+    @pytest.mark.parametrize(
+        "count, n",
+        [
+            (r113, 4 * 10**4),
+            (r113, 10**6 + 2),
+            (r133, 4 * 10**4),
+            (r133, 10**6 + 2),
+            (A_direct, 11**4 * 50),
+            (A_direct, 13**4 * 50),
+        ],
+    )
+    def test_matches_reference_loop_across_tiles(self, count, n):
+        # a grid of about isqrt(n / 3) * isqrt(n / b) cells (isqrt(n / 12) *
+        # isqrt(n) / 3 for A_direct) spans several tiles here, all but
+        # r133(4 * 10**4), where every n <= 3000 fits in one
+        assert quadforms._CELLS <= 2**14
+        assert count(n) == _LOOPS[count](n)
+
+    def test_tiles_cover_the_grid_in_row_major_order(self):
+        for rows, cols in [
+            (range(0), range(5)),
+            (range(7), range(0)),
+            (range(1, 300), range(-299, 300, 2)),
+            (range(3), range(2 * quadforms._CELLS + 5)),
+        ]:
+            cells = []
+            for row, col in _tiles(rows, cols):
+                assert row.size * col.size <= quadforms._CELLS
+                cells += [(r, c) for r in row.tolist() for c in col.tolist()]
+            assert cells == [(r, c) for r in rows for c in cols]
 
 
 class TestTernarySeries:
@@ -153,21 +252,17 @@ class TestClassNumbers:
             reduced_forms(5)
 
     def test_reduced_forms_match_brute_force(self):
-        # every (a, b, c) with |b| <= a <= c, c fixed by b^2 - 4ac = D, kept
-        # when reduced (b >= 0 if |b| = a or a = c) and primitive; such a form
-        # has 3a^2 <= 4ac - b^2 = -D
         for D in range(-2000, -2):
             if D % 4 not in (0, 1):
                 continue
-            want = []
-            for a in range(1, math.isqrt(-D // 3) + 1):
-                for b in range(-a, a + 1):
-                    c, r = divmod(b * b - D, 4 * a)
-                    if r or c < a or (b < 0 and (-b == a or a == c)):
-                        continue
-                    if math.gcd(a, b, c) == 1:
-                        want.append((a, b, c))
-            assert [(f.a, f.b, f.c) for f in reduced_forms(D)] == want, D
+            assert [(f.a, f.b, f.c) for f in reduced_forms(D)] == _reduced_forms_brute(D), D
+
+    @pytest.mark.parametrize("D", [-60000, -120004, -240008])
+    def test_reduced_forms_across_tiles(self, D):
+        # a <= isqrt(-D / 3) rows of about as many b each: more than one tile
+        a_max = math.isqrt(-D // 3)
+        assert a_max * a_max > quadforms._CELLS
+        assert [(f.a, f.b, f.c) for f in reduced_forms(D)] == _reduced_forms_brute(D)
 
     def test_reduced_form_validation(self):
         with pytest.raises(ValueError):

@@ -26,12 +26,16 @@ from .series import eta_factor, eta_product, mod_reduce, mul, power, theta
 
 @dataclass(frozen=True)
 class CongruenceFamily:
-    """Claim: EO-bar(A n + B) = 0 mod m for all n >= 0."""
+    """Claim: EO-bar(A n + B) = 0 mod m for all n >= 0.  trivial is derived:
+    A even and B odd make every argument odd, where the count vanishes."""
 
     modulus_A: int
     residue_B: int
     congruence_modulus: int = 4
-    trivial: bool = False  # all arguments odd, where the count vanishes
+
+    @property
+    def trivial(self) -> bool:
+        return self.modulus_A % 2 == 0 and self.residue_B % 2 == 1
 
     def argument(self, n: int) -> int:
         return self.modulus_A * n + self.residue_B
@@ -39,19 +43,20 @@ class CongruenceFamily:
 
 @dataclass
 class VerificationReport:
+    """A suite's verdict on range_checked; passed is derived: no counterexample."""
+
     suite: str
     range_checked: str
-    passed: bool
     counterexample: dict | None = None
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def __str__(self):
         status = "PASS" if self.passed else f"FAIL ({self.counterexample})"
         return f"[{status}] {self.suite} on {self.range_checked}"
-
-
-def _report(suite, rng, counterexample=None, **details):
-    return VerificationReport(suite, rng, counterexample is None, counterexample, details)
 
 
 def _first_difference(a, b) -> int | None:
@@ -113,20 +118,20 @@ def check_family(
     """Check EO-bar(A n + B) = 0 mod m for 0 <= n <= n_max via the series path.
 
     Without coeffs_mod the residues mod m are built through order
-    A n_max + B.  A shared coeffs_mod carries no modulus: it must hold
-    EO-bar(n) reduced mod a multiple of the family's m (the residues mod 4
-    of eobar_series_mod for m = 4), and nothing here can tell.  An array of
-    residues mod 4 read for m = 8 gives a false pass:
-    check_family(CongruenceFamily(25, 3, 8), 100, eobar_series_mod(3000, 4))
-    reports PASS, yet without the array the family fails at n = 1.
+    A n_max + B.  A shared coeffs_mod carries no modulus and is taken to
+    hold EO-bar mod 4, as eobar_series_mod(order, 4) does; an array reduced
+    mod anything but a multiple of 4 cannot be told apart.
 
-    Refuses, before any array is built or read, n_max < 0 and a malformed
-    family (A < 1, B < 0, or m outside 2..2^62); refuses a coeffs_mod too
-    short to reach A n_max + B.
+    Refuses, before any array is built or read, a malformed family (A < 1,
+    B < 0, or m outside 2..2^62), a shared coeffs_mod for m other than 2
+    and 4, and n_max < 0; refuses a coeffs_mod too short to reach
+    A n_max + B.
     """
     A, B, m = fam.modulus_A, fam.residue_B, fam.congruence_modulus
     if A < 1 or B < 0 or not 2 <= m <= 1 << 62:
         raise ValueError(f"family needs A >= 1, B >= 0 and 2 <= m <= 2^62, got {A}n+{B} mod {m}")
+    if coeffs_mod is not None and m not in (2, 4):
+        raise ValueError(f"the shared coeffs_mod holds EO-bar mod 4; it cannot check mod {m}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     need = fam.argument(n_max)
@@ -134,14 +139,11 @@ def check_family(
         coeffs_mod = partitions.eobar_series_mod(need, m)
     elif len(coeffs_mod) <= need:
         raise ValueError(f"truncation {len(coeffs_mod) - 1} too small; family needs order {need}")
-    name = f"family({A}n+{B})"
-    n = _first_nonzero_mod(coeffs_mod, A, B, n_max, m)
-    if n is not None:
-        arg = fam.argument(n)
-        return _report(
-            name, f"n <= {n_max}", {"n": n, "argument": arg, "value_mod": int(coeffs_mod[arg]) % m}
-        )
-    return _report(name, f"n <= {n_max}")
+    report = functools.partial(VerificationReport, f"family({A}n+{B})", f"n <= {n_max}")
+    if (n := _first_nonzero_mod(coeffs_mod, A, B, n_max, m)) is None:
+        return report()
+    arg = fam.argument(n)
+    return report({"n": n, "argument": arg, "value_mod": int(coeffs_mod[arg]) % m})
 
 
 def scan_congruences(a_max: int, n_max: int) -> list[CongruenceFamily]:
@@ -149,9 +151,9 @@ def scan_congruences(a_max: int, n_max: int) -> list[CongruenceFamily]:
 
     One eobar_series_mod array through order a_max n_max + a_max - 1, the
     largest argument, serves every pair.  Families whose arguments are all
-    odd hold vacuously (the count is zero on odd numbers); these are
-    flagged trivial, not dropped.  Refuses a_max < 1 and n_max < 0 before
-    any array is built.
+    odd hold vacuously (the count is zero on odd numbers); these are kept
+    and flagged by their trivial property.  Refuses a_max < 1 and n_max < 0
+    before any array is built.
     """
     if a_max < 1 or n_max < 0:
         raise ValueError(f"a_max must be >= 1 and n_max >= 0, got a_max = {a_max}, n_max = {n_max}")
@@ -160,8 +162,7 @@ def scan_congruences(a_max: int, n_max: int) -> list[CongruenceFamily]:
     for A in range(1, a_max + 1):
         for B in range(A):
             if _first_nonzero_mod(coeffs_mod, A, B, n_max, 4) is None:
-                trivial = A % 2 == 0 and B % 2 == 1
-                found.append(CongruenceFamily(A, B, trivial=trivial))
+                found.append(CongruenceFamily(A, B))
     return found
 
 
@@ -174,16 +175,17 @@ def verify_triple_products(order: int) -> VerificationReport:
     The eta factors are the honest products, so this also checks the
     pentagonal expansion that eta_factor is built from.
     """
+    report = functools.partial(VerificationReport, "triple-product", f"order {order}")
     j1 = eta_product(1, order)
     j2 = eta_product(2, order)
     lhs1 = mul(theta("square_alt", order), j2)
     rhs1 = power(j1, 2)
     if (n := _first_difference(lhs1.coeffs, rhs1.coeffs)) is not None:
-        return _report("triple-product", f"order {order}", {"identity": 1, "n": n})
+        return report({"identity": 1, "n": n})
     lhs2 = theta("pent3_alt", order)
     if (n := _first_difference(lhs2.coeffs, j1.coeffs)) is not None:
-        return _report("triple-product", f"order {order}", {"identity": 2, "n": n})
-    return _report("triple-product", f"order {order}")
+        return report({"identity": 2, "n": n})
+    return report()
 
 
 def verify_eobar_oracle(n_max: int) -> VerificationReport:
@@ -193,25 +195,22 @@ def verify_eobar_oracle(n_max: int) -> VerificationReport:
     even-below-odd partitions that pass the membership rule.  The mod-4
     form J_2^2 J_4 is read from eobar_series_mod, the fast path itself.
     """
+    report = functools.partial(VerificationReport, "eobar-oracle", f"n <= {n_max}")
     ser = partitions.eobar_series(n_max)
     for n in range(n_max + 1):
         enum = partitions.eobar_count_enum(n)
         if ser.c(n) != enum:
-            return _report(
-                "eobar-oracle", f"n <= {n_max}", {"n": n, "series": ser.c(n), "enum": enum}
-            )
+            return report({"n": n, "series": ser.c(n), "enum": enum})
         if n % 2 == 1 and enum != 0:
-            return _report("eobar-oracle", f"n <= {n_max}", {"n": n, "odd_value": enum})
+            return report({"n": n, "odd_value": enum})
         if n <= 40:
             filtered = sum(map(partitions._is_eobar, partitions.eo_partitions(n)))
             if enum != filtered:
-                return _report(
-                    "eobar-oracle", f"n <= {n_max}", {"n": n, "enum": enum, "filtered": filtered}
-                )
+                return report({"n": n, "enum": enum, "filtered": filtered})
     form = partitions.eobar_series_mod(n_max, 4).tolist()
     if (n := _first_difference(mod_reduce(ser, 4).coeffs, form)) is not None:
-        return _report("eobar-oracle", f"n <= {n_max}", {"n": n, "mod4_eta_form": True})
-    return _report("eobar-oracle", f"n <= {n_max}")
+        return report({"n": n, "mod4_eta_form": True})
+    return report()
 
 
 def verify_r113_A(n_max: int) -> VerificationReport:
@@ -225,6 +224,7 @@ def verify_r113_A(n_max: int) -> VerificationReport:
     product too.  The walk ascends, so the first counterexample is the
     least n that fails.
     """
+    report = functools.partial(VerificationReport, "r113-A", f"n <= {n_max}")
     r113 = quadforms.ternary_series(1, n_max).coeffs
     A = quadforms.A_series(n_max).coeffs
     for n in range(n_max + 1):
@@ -232,14 +232,14 @@ def verify_r113_A(n_max: int) -> VerificationReport:
         if n % 12 == 2:
             direct = quadforms.A_direct(n)
             if r != 4 * direct:
-                return _report("r113-A", f"n <= {n_max}", {"n": n, "r113": r, "direct": direct})
+                return report({"n": n, "r113": r, "direct": direct})
             if (a := A[n]) != direct:
-                return _report("r113-A", f"n <= {n_max}", {"n": n, "f_series": a, "direct": direct})
+                return report({"n": n, "f_series": a, "direct": direct})
         elif n <= 500 and (direct := quadforms.A_direct(n)) != 0:
-            return _report("r113-A", f"n <= {n_max}", {"n": n, "direct": direct})
+            return report({"n": n, "direct": direct})
         if n <= 500 and (loop := quadforms.r113(n)) != r:
-            return _report("r113-A", f"n <= {n_max}", {"n": n, "r113": r, "loop": loop})
-    return _report("r113-A", f"n <= {n_max}")
+            return report({"n": n, "r113": r, "loop": loop})
+    return report()
 
 
 def _h_minus_3n(n_max: int) -> Iterator[tuple[int, int, int]]:
@@ -256,14 +256,13 @@ def _h_minus_3n(n_max: int) -> Iterator[tuple[int, int, int]]:
 
 def verify_classnumber(n_max: int) -> VerificationReport:
     """r113(n) = r133(3n) = 2 h(-3n) for squarefree n = 2 mod 12."""
+    report = functools.partial(VerificationReport, "classnumber", f"n <= {n_max}")
     for n, _, h in _h_minus_3n(n_max):
         r1 = quadforms.r113(n)
         r2 = quadforms.r133(3 * n)
         if not (r1 == r2 == 2 * h):
-            return _report(
-                "classnumber", f"n <= {n_max}", {"n": n, "r113": r1, "r133_3n": r2, "h": h}
-            )
-    return _report("classnumber", f"n <= {n_max}")
+            return report({"n": n, "r113": r1, "r133_3n": r2, "h": h})
+    return report()
 
 
 def verify_h6p(p_max: int) -> VerificationReport:
@@ -286,17 +285,18 @@ def verify_h6p(p_max: int) -> VerificationReport:
                 restricted_ok = False
             if counterexample is None:
                 counterexample = {"p": p, "h": h, "h_mod8": h % 8}
-    rep = _report("h6p", f"p <= {p_max}", counterexample)
-    rep.details["holds_for_p_1_mod_6"] = restricted_ok
-    return rep
+    return VerificationReport(
+        "h6p", f"p <= {p_max}", counterexample, {"holds_for_p_1_mod_6": restricted_ok}
+    )
 
 
 def verify_genus(n_max: int) -> VerificationReport:
     """2^{t-1} divides h(-3n), t = number of distinct primes of 3n."""
+    report = functools.partial(VerificationReport, "genus", f"n <= {n_max}")
     for n, t, h in _h_minus_3n(n_max):
         if h % (1 << (t - 1)):
-            return _report("genus", f"n <= {n_max}", {"n": n, "t": t, "h": h})
-    return _report("genus", f"n <= {n_max}")
+            return report({"n": n, "t": t, "h": h})
+    return report()
 
 
 def verify_hecke(p: int, n_max: int) -> VerificationReport:
@@ -304,7 +304,7 @@ def verify_hecke(p: int, n_max: int) -> VerificationReport:
     p | n included: there (-3n/p) = 0, and the last term counts once p^2 | n.
     Refuses a p that is not a prime >= 5."""
     _check_prime_at_least_5(p)
-    name = f"hecke(p={p})"
+    report = functools.partial(VerificationReport, f"hecke(p={p})", f"n <= {n_max}")
     A = functools.cache(quadforms.A_direct)  # each lattice count once per call
     for n in range(2, n_max + 1, 12):
         lhs = A(p * p * n) + legendre(-3 * n, p) * A(n)
@@ -312,15 +312,15 @@ def verify_hecke(p: int, n_max: int) -> VerificationReport:
             lhs += p * A(n // (p * p))
         rhs = (p + 1) * A(n)
         if lhs != rhs:
-            return _report(name, f"n <= {n_max}", {"n": n, "lhs": lhs, "rhs": rhs})
-    return _report(name, f"n <= {n_max}")
+            return report({"n": n, "lhs": lhs, "rhs": rhs})
+    return report()
 
 
 def verify_lemmas_3_2_to_3_5(p: int, n_max: int) -> VerificationReport:
     """Prime-power congruences for A: the four mod-2 and mod-4 lemmas.
     Refuses a p that is not a prime >= 5."""
     _check_prime_at_least_5(p)
-    name = f"lemmas3.2-3.5(p={p})"
+    report = functools.partial(VerificationReport, f"lemmas3.2-3.5(p={p})", f"n <= {n_max}")
     # 3.4 and 3.5 reread the A(p^k n) of 3.2 and 3.3: each lattice count once per call
     A = functools.cache(quadforms.A_direct)
     for n in range(2, n_max + 1, 12):
@@ -328,20 +328,20 @@ def verify_lemmas_3_2_to_3_5(p: int, n_max: int) -> VerificationReport:
         coprime = n % p != 0
         if coprime:
             if (A(p * p * n) - An) % 2:
-                return _report(name, f"n <= {n_max}", {"lemma": "3.2i", "n": n})
+                return report({"lemma": "3.2i", "n": n})
             if A(p**3 * n) % 2:
-                return _report(name, f"n <= {n_max}", {"lemma": "3.2ii", "n": n})
+                return report({"lemma": "3.2ii", "n": n})
         if (A(p**4 * n) - An) % 2:
-            return _report(name, f"n <= {n_max}", {"lemma": "3.3", "n": n})
+            return report({"lemma": "3.3", "n": n})
         if An % 2 == 0:
             if coprime:
                 if (A(p * p * n) - An) % 4:
-                    return _report(name, f"n <= {n_max}", {"lemma": "3.4i", "n": n})
+                    return report({"lemma": "3.4i", "n": n})
                 if A(p**3 * n) % 4:
-                    return _report(name, f"n <= {n_max}", {"lemma": "3.4ii", "n": n})
+                    return report({"lemma": "3.4ii", "n": n})
             if (A(p**4 * n) - An) % 4:
-                return _report(name, f"n <= {n_max}", {"lemma": "3.5", "n": n})
-    return _report(name, f"n <= {n_max}")
+                return report({"lemma": "3.5", "n": n})
+    return report()
 
 
 def verify_classification(n_max: int) -> VerificationReport:
@@ -355,8 +355,9 @@ def verify_classification(n_max: int) -> VerificationReport:
     every k <= 100 and every 97th k.  The r113-A suite checks f_series
     against the A_direct lattice loop on its own range (n <= 5000 by default).
     """
+    report = functools.partial(VerificationReport, "classification", f"n <= {n_max}")
     if n_max < 2:
-        return _report("classification", f"n <= {n_max}")
+        return report()
     order = (n_max - 2) // 12
     f = quadforms.f_series(order)
     want = {
@@ -371,12 +372,8 @@ def verify_classification(n_max: int) -> VerificationReport:
         cert = quadforms._certificate(n, n_odd, p, e)
         sampled = k <= 100 or k % 97 == 0
         if a4 not in want[cert.cls] or not cert.check() or (sampled and classify_mod4(n) != cert):
-            return _report(
-                "classification",
-                f"n <= {n_max}",
-                {"n": n, "A_mod4": a4, "class": cert.cls.value},
-            )
-    return _report("classification", f"n <= {n_max}")
+            return report({"n": n, "A_mod4": a4, "class": cert.cls.value})
+    return report()
 
 
 def verify_eobar_equals_A(n_max: int) -> VerificationReport:
@@ -387,35 +384,31 @@ def verify_eobar_equals_A(n_max: int) -> VerificationReport:
     display with the cubed factor fails coefficientwise, consistent with it
     being a typo.
     """
+    report = functools.partial(VerificationReport, "eobar-A", f"n <= {n_max}")
     ser = partitions.eobar_series(n_max)
     A = quadforms.A_series(6 * n_max + 2)
     for n in range(n_max + 1):
         want = A.c(6 * n + 2) % 4
         if ser.c(n) % 4 != want:
-            return _report(
-                "eobar-A", f"n <= {n_max}", {"n": n, "eobar_mod4": ser.c(n) % 4, "A_mod4": want}
-            )
+            return report({"n": n, "eobar_mod4": ser.c(n) % 4, "A_mod4": want})
     small = min(n_max, 200)
     cubed = mod_reduce(mul(power(eta_factor(2, small), 3), eta_factor(4, small)), 4)
     squared = partitions.eobar_series_mod(small, 4).tolist()
-    return _report(
-        "eobar-A", f"n <= {n_max}", j2cubed_matches_j2squared_mod4=(cubed.coeffs == squared)
-    )
+    return report(details={"j2cubed_matches_j2squared_mod4": cubed.coeffs == squared})
 
 
 def verify_a_eq_b(n_max: int) -> VerificationReport:
     """a(n) = b(n) mod 4, with b from both the eta and theta products."""
+    report = functools.partial(VerificationReport, "a-eq-b", f"n <= {n_max}")
     b = quadforms.b_series(n_max)
     b_theta = quadforms.b_series_theta(n_max)
     if (n := _first_difference(b.coeffs, b_theta.coeffs)) is not None:
-        return _report("a-eq-b", f"n <= {n_max}", {"n": n, "b_route_mismatch": True})
+        return report({"n": n, "b_route_mismatch": True})
     f = quadforms.f_series(n_max)
     for n in range(n_max + 1):
         if (f.c(n) - b.c(n)) % 4:
-            return _report(
-                "a-eq-b", f"n <= {n_max}", {"n": n, "a": f.c(n), "b": b.c(n)}
-            )
-    return _report("a-eq-b", f"n <= {n_max}")
+            return report({"n": n, "a": f.c(n), "b": b.c(n)})
+    return report()
 
 
 # The primes theorem_families draws p_1..p_{k+1} from.
@@ -442,23 +435,22 @@ def theorem_families(max_k: int = 1) -> list[CongruenceFamily]:
 def verify_families(order: int) -> VerificationReport:
     """Every theorem_families() family passes to the truncation bound; the
     seven example residues mod 25 and mod 49 are among them."""
+    report = functools.partial(VerificationReport, "families", f"order {order}")
     coeffs = partitions.eobar_series_mod(order, 4)
     fams = theorem_families()
     pairs = {(f.modulus_A, f.residue_B) for f in fams}
     expected = {(25, 3), (25, 13), (25, 18), (25, 23), (49, 23), (49, 30), (49, 44)}
     missing = expected - pairs
     if missing:
-        return _report("families", f"order {order}", {"missing_example_families": sorted(missing)})
+        return report({"missing_example_families": sorted(missing)})
     for fam in fams:
         if fam.residue_B > order:
             continue  # no argument A n + B within the order
         n_max = (order - fam.residue_B) // fam.modulus_A
         rep = check_family(fam, n_max, coeffs)
         if not rep.passed:
-            ce = dict(rep.counterexample or {})
-            ce["family"] = (fam.modulus_A, fam.residue_B)
-            return _report("families", f"order {order}", ce)
-    return _report("families", f"order {order}", n_families=len(fams))
+            return report({**rep.counterexample, "family": (fam.modulus_A, fam.residue_B)})
+    return report(details={"n_families": len(fams)})
 
 
 # --- density and gamma reporting -------------------------------------------

@@ -77,6 +77,16 @@ class TestCheckFamily:
         with pytest.raises(ValueError, match="A >= 1, B >= 0 and 2 <= m <= 2"):
             V.check_family(V.CongruenceFamily(A, B, m), 5, eobar_series_mod(100, 4))
 
+    @pytest.mark.parametrize("m", [3, 8, 16, 1000003])
+    def test_shared_array_refused_off_mod_4(self, m):
+        # the shared array holds EO-bar mod 4: read for m = 8 it would pass
+        # 25n+3, which fails mod 8 at n = 1 once the residues mod 8 are built
+        arr = eobar_series_mod(3000, 4)
+        with pytest.raises(ValueError, match=f"holds EO-bar mod 4; it cannot check mod {m}"):
+            V.check_family(V.CongruenceFamily(25, 3, m), 100, arr)
+        assert V.check_family(V.CongruenceFamily(25, 3, 8), 100).counterexample["n"] == 1
+        assert V.check_family(V.CongruenceFamily(25, 3, 2), 100, arr).passed
+
     def test_truncation_too_small(self):
         arr = eobar_series_mod(100, 4)
         with pytest.raises(ValueError, match="truncation"):
@@ -105,6 +115,11 @@ class TestScan:
     def test_trivial_flag(self):
         fams = {(f.modulus_A, f.residue_B): f for f in V.scan_congruences(2, 400)}
         assert fams[(2, 1)].trivial
+        # A even and B odd: every argument is odd, whoever builds the family
+        assert V.CongruenceFamily(2, 1).trivial
+        assert V.CongruenceFamily(4, 3, 8).trivial
+        assert not V.CongruenceFamily(25, 3).trivial
+        assert not V.CongruenceFamily(2, 0).trivial
 
     def test_a_max_one_empty(self):
         assert V.scan_congruences(1, 10) == []
@@ -144,6 +159,11 @@ class TestTheoremFamilies:
     def test_negative_max_k_refused(self):
         with pytest.raises(ValueError, match="max_k"):
             V.theorem_families(max_k=-3)
+
+
+def test_report_passes_exactly_without_counterexample():
+    assert V.VerificationReport("s", "r", {"n": 1}).passed is False
+    assert V.VerificationReport("s", "r").passed is True
 
 
 class TestSuites:

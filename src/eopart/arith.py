@@ -100,8 +100,8 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant; n must be odd composite, not a prime power check
-    # is done by the caller loop.
+    # Floyd's cycle finding: x takes one step, y two, with a gcd every step.
+    # factorize calls this only on a composite; a prime power splits too.
     if n % 2 == 0:
         return 2
     for c in range(1, 100):

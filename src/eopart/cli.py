@@ -3,8 +3,10 @@ congruence scanning, and density reports.
 
 Exit codes are a stable contract: 0 all-pass, 1 counterexample or failed
 assertion, 2 usage/configuration error or an allocation refused for want
-of memory.  Output is CSV (tables) or a single JSON record; both carry
-identical numbers.
+of memory.  Every command follows one rule.  Its record, CSV or a single
+JSON record carrying identical numbers, goes to --out or else to stdout;
+verify's report lines go to the other stream.  Every refusal raises, and
+`main` prints it as one `error:` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -33,12 +35,15 @@ TABLE_SERIES = {
 }
 
 
-def _emit(record: dict, fmt: str, out: str | None, columns: tuple[str, ...] = ()) -> int:
-    if fmt == "json":
+def _emit(args, rows: list[dict], status: str, columns: tuple[str, ...] = ()) -> int:
+    """Write the command's record to --out or stdout; exit 1 on a "fail" status."""
+    if args.format == "json":
+        skip = ("command", "func", "format", "out")  # command is a top-level field
+        params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+        record = {"command": args.command, "parameters": params, "rows": rows, "status": status}
         text = json.dumps(record, indent=2, default=str) + "\n"
     else:
         buf = io.StringIO()
-        rows = record["rows"]
         # every key gets a column in first-seen order (a row without it leaves
         # the cell empty); with no rows, the command's known columns are the header
         fields = list(dict.fromkeys(k for row in rows for k in row)) or list(columns)
@@ -47,22 +52,15 @@ def _emit(record: dict, fmt: str, out: str | None, columns: tuple[str, ...] = ()
             writer.writeheader()
             writer.writerows(rows)
         text = buf.getvalue()
-    if out:
+    if args.out:
         try:
-            with open(out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
-    return EXIT_OK
-
-
-def _record(args, rows: list[dict], status: str) -> dict:
-    skip = ("command", "func", "format", "out")  # command is a top-level field
-    params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    return {"command": args.command, "parameters": params, "rows": rows, "status": status}
+    return EXIT_FAIL if status == "fail" else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -70,8 +68,8 @@ def cmd_verify(args) -> int:
         reports = verify.run_all(args.limit, args.order)
     else:
         reports = verify.run_suite(args.suite, args.limit, args.order)
-    # a JSON record on stdout must be all that stdout carries
-    log = sys.stderr if args.format == "json" and not args.out else sys.stdout
+    # the report lines take whichever stream the record does not
+    log = sys.stdout if args.out else sys.stderr
     rows = []
     for rep in reports:
         print(rep, file=log)
@@ -84,48 +82,36 @@ def cmd_verify(args) -> int:
                 **rep.details,
             }
         )
-    ok = all(r.passed for r in reports)
-    if args.out or args.format == "json":
-        rc = _emit(_record(args, rows, "pass" if ok else "fail"), args.format, args.out)
-        if rc:
-            return rc
-    return EXIT_OK if ok else EXIT_FAIL
+    return _emit(args, rows, "pass" if all(r.passed for r in reports) else "fail")
 
 
 def cmd_table(args) -> int:
     # the table applies % mod itself, so only the CLI can check the modulus
     if args.mod is not None and args.mod < 2:
-        print(f"error: got --mod {args.mod}; the table needs --mod >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"got --mod {args.mod}; the table needs --mod >= 2")
     if args.series == "eobar" and args.mod is not None:
         values = [int(v) for v in partitions.eobar_series_mod(args.order, args.mod)]
     else:
         values = TABLE_SERIES[args.series](args.order).coeffs
         if args.mod is not None:
             values = [v % args.mod for v in values]
-    rows = [{"n": n, "value": v} for n, v in enumerate(values)]
-    return _emit(_record(args, rows, "ok"), args.format, args.out)
+    return _emit(args, [{"n": n, "value": v} for n, v in enumerate(values)], "ok")
 
 
 def cmd_scan(args) -> int:
     fams = verify.scan_congruences(args.a_max, args.n_max)
     columns = ("A", "B", "trivial")
     rows = [dict(zip(columns, (f.modulus_A, f.residue_B, f.trivial))) for f in fams]
-    return _emit(_record(args, rows, "ok"), args.format, args.out, columns)
+    return _emit(args, rows, "ok", columns)
 
 
 def cmd_density(args) -> int:
     try:
         checkpoints = [int(x) for x in args.checkpoints.split(",") if x]
     except ValueError:
-        print("error: --checkpoints must be a comma list of integers", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--checkpoints must be a comma list of integers") from None
     rows = verify.density_report(checkpoints)
-    ok = all(r["bound_ok"] for r in rows)
-    rc = _emit(_record(args, rows, "pass" if ok else "fail"), args.format, args.out)
-    if rc:
-        return rc
-    return EXIT_OK if ok else EXIT_FAIL
+    return _emit(args, rows, "pass" if all(r["bound_ok"] for r in rows) else "fail")
 
 
 def build_parser() -> argparse.ArgumentParser:

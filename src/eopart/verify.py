@@ -217,12 +217,12 @@ def verify_r113_A(n_max: int) -> VerificationReport:
     """4 A(n) = r113(n) on the support n = 2 mod 12, and A(n) = 0 off it.
 
     r113 comes from the theta product and A(n) from the A_direct lattice
-    loop.  On the support, for every n <= n_max, the loop's A(n) must give
+    count.  On the support, for every n <= n_max, the count's A(n) must give
     r113(n) / 4 and match A_series, read from the theta product f_series.
-    Off the support A(n) = 0 by congruence, so the loop runs there only
-    for n <= 500, the range on which the r113 loop checks the theta
-    product too.  The walk ascends, so the first counterexample is the
-    least n that fails.
+    Off the support A(n) = 0 by congruence, so the count runs there only
+    for n <= 500, the range on which the r113 lattice count checks the
+    theta product too.  The walk ascends, so the first counterexample is
+    the least n that fails.
     """
     report = functools.partial(VerificationReport, "r113-A", f"n <= {n_max}")
     r113 = quadforms.ternary_series(1, n_max).coeffs
@@ -353,7 +353,7 @@ def verify_classification(n_max: int) -> VerificationReport:
     mod 4 and that the certificate's witness reconstructs n.  The pointwise
     classify_mod4, through factorize, must give the same certificate for
     every k <= 100 and every 97th k.  The r113-A suite checks f_series
-    against the A_direct lattice loop on its own range (n <= 5000 by default).
+    against the A_direct lattice count on its own range (n <= 5000 by default).
     """
     report = functools.partial(VerificationReport, "classification", f"n <= {n_max}")
     if n_max < 2:

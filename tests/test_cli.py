@@ -142,11 +142,14 @@ class TestTable:
 
 class TestVerify:
     def test_families_suite_passes(self, capsys):
-        code, out, _ = run(
+        # the CSV record is stdout; the report lines go to stderr
+        code, out, err = run(
             capsys, "verify", "--suite", "families", "--order", "20000"
         )
         assert code == 0
-        assert "PASS" in out
+        assert "PASS" in err
+        [row] = parse_csv(out)
+        assert (row["suite"], row["passed"]) == ("families", "True")
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")
@@ -154,9 +157,11 @@ class TestVerify:
         assert "unknown suite" in err
 
     def test_h6p_counterexample_exit_code(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "h6p", "--limit", "50")
+        code, out, err = run(capsys, "verify", "--suite", "h6p", "--limit", "50")
         assert code == 1
-        assert "FAIL" in out and "'p': 17" in out
+        assert "FAIL" in err and "'p': 17" in err
+        [row] = parse_csv(out)
+        assert row["passed"] == "False" and "'p': 17" in row["counterexample"]
 
     def test_json_record(self, capsys):
         code, out, err = run(
@@ -199,6 +204,17 @@ class TestVerify:
         assert out == stem.with_suffix(".json").read_text()
         assert err == stem.with_suffix(".stderr").read_text()
         assert code == int(stem.with_suffix(".exit").read_text())
+
+    def test_all_suites_csv_matches_golden(self, capsys):
+        """With no `--format` and no `--out`, stdout is the CSV record that
+        `--out` writes (tests/golden's .csv) and stderr the report lines,
+        the same .stderr that the JSON run gives."""
+        code, out, err = run(capsys, "verify", "--suite", "all", "--order", "10000")
+        stem = pathlib.Path(__file__).parent / "golden" / "verify_all_order10000"
+        # read as bytes: the csv module ends each line with \r\n
+        assert out == stem.with_suffix(".csv").read_bytes().decode()
+        assert err == stem.with_suffix(".stderr").read_text()
+        assert code == 1
 
     @pytest.mark.parametrize("bound", ["--limit", "--order"])
     def test_negative_bound_refused(self, capsys, bound):
@@ -254,6 +270,31 @@ class TestDensity:
         assert run(capsys, "density", "--checkpoints", "1")[0] == 2
 
 
+# One invocation per command; each prints its record in either format.
+PARITY = [
+    ["verify", "--suite", "triple-product", "--limit", "100"],
+    ["table", "--series", "eobar", "--order", "50"],
+    ["scan", "--a-max", "5", "--n-max", "20"],
+    ["density", "--checkpoints", "100,1000"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY, ids=[a[0] for a in PARITY])
+def test_stdout_is_the_out_file_and_the_record(capsys, tmp_path, argv):
+    """Without --out, stdout is the bytes --out writes; CSV and JSON agree."""
+    outs = {}
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"record.{fmt}"
+        code, outs[fmt], _ = run(capsys, *argv, "--format", fmt)
+        assert run(capsys, *argv, "--format", fmt, "--out", str(path))[0] == code == 0
+        assert path.read_bytes().decode() == outs[fmt]  # keeps CSV's \r\n
+    record = json.loads(outs["json"])
+    assert record["command"] == argv[0] and record["rows"]
+    # CSV writes None as an empty cell and every other value as its str()
+    cells = [{k: "" if v is None else str(v) for k, v in row.items()} for row in record["rows"]]
+    assert parse_csv(outs["csv"]) == cells
+
+
 # Every argument the library refuses, with a word its message must carry.
 REFUSED = [
     (["verify", "--suite", "bogus"], "unknown suite"),
@@ -269,6 +310,9 @@ REFUSED = [
     (["scan", "--a-max", "0", "--n-max", "10"], "a_max"),
     (["scan", "--a-max", "3", "--n-max", "-1"], "n_max"),
     *[(["density", "--checkpoints", c], "checkpoints") for c in ("1", "x,y", "")],
+    # /dev/null is not a directory, so nothing can be written below it
+    (["scan", "--a-max", "5", "--n-max", "20", "--out", "/dev/null/x.csv"], "cannot write"),
+    (["density", "--checkpoints", "100", "--out", "/dev/null/x.csv"], "cannot write"),
 ]
 
 

@@ -1,6 +1,8 @@
 """README's lists of names and the registries they document stay equal."""
 
 import argparse
+import csv
+import io
 import re
 import typing
 from pathlib import Path
@@ -68,3 +70,22 @@ def test_scan_example_finds_its_residues(capsys):
     assert cli.main(argv) == 0
     rows = capsys.readouterr().out.split()
     assert [r for r in rows if r.startswith("25,")] == [f"25,{b},False" for b in (3, 13, 18, 23)]
+
+
+def test_verify_example_checks_the_families(capsys):
+    argv, comment = _example("verify")
+    assert (argv, comment) == (
+        ["verify", "--suite", "families"],
+        "theorem families to order 150000",
+    )
+    assert cli.main(argv) == 0
+    [row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert (row["range"], row["passed"]) == ("order 150000", "True")
+
+
+def test_density_example_is_the_census_anchor(capsys):
+    argv, comment = _example("density")
+    assert (argv, comment) == (["density", "--checkpoints", "1000000"], "divisibility-by-4 census")
+    assert cli.main(argv) == 0
+    [row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert (row["odd"], row["two_mod4"], row["zero_mod4"]) == ("577", "62439", "936985")

@@ -5,15 +5,17 @@ Exit codes are a stable contract: 0 all-pass, 1 counterexample or failed
 assertion, 2 usage/configuration error or an allocation refused for want
 of memory.  Every command follows one rule.  Its record, CSV or a single
 JSON record carrying identical numbers, goes to --out or else to stdout;
-verify's report lines go to the other stream.  Every refusal raises, and
-`main` prints it as one `error:` line on stderr and exits 2.
+verify's report lines go to the other stream.  `main` opens --out before
+the command runs, as a shell redirection does, so an unwritable path is
+refused before any work and a refused command leaves --out empty.  Every
+refusal raises, and `main` prints it as one `error:` line and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 
@@ -35,41 +37,31 @@ TABLE_SERIES = {
 }
 
 
-def _emit(args, rows: list[dict], status: str, columns: tuple[str, ...] = ()) -> int:
-    """Write the command's record to --out or stdout; exit 1 on a "fail" status."""
+def _emit(out, args, rows: list[dict], status: str, columns: tuple[str, ...] = ()) -> int:
+    """Write the command's record onto out; exit 1 on a "fail" status."""
     if args.format == "json":
         skip = ("command", "func", "format", "out")  # command is a top-level field
         params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
         record = {"command": args.command, "parameters": params, "rows": rows, "status": status}
-        text = json.dumps(record, indent=2, default=str) + "\n"
+        out.write(json.dumps(record, indent=2, default=str) + "\n")
     else:
-        buf = io.StringIO()
         # every key gets a column in first-seen order (a row without it leaves
         # the cell empty); with no rows, the command's known columns are the header
         fields = list(dict.fromkeys(k for row in rows for k in row)) or list(columns)
         if fields:
-            writer = csv.DictWriter(buf, fieldnames=fields)
+            writer = csv.DictWriter(out, fieldnames=fields)
             writer.writeheader()
             writer.writerows(rows)
-        text = buf.getvalue()
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
     return EXIT_FAIL if status == "fail" else EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     if args.suite == "all":
         reports = verify.run_all(args.limit, args.order)
     else:
         reports = verify.run_suite(args.suite, args.limit, args.order)
     # the report lines take whichever stream the record does not
-    log = sys.stdout if args.out else sys.stderr
+    log = sys.stderr if out is sys.stdout else sys.stdout
     rows = []
     for rep in reports:
         print(rep, file=log)
@@ -82,10 +74,10 @@ def cmd_verify(args) -> int:
                 **rep.details,
             }
         )
-    return _emit(args, rows, "pass" if all(r.passed for r in reports) else "fail")
+    return _emit(out, args, rows, "pass" if all(r.passed for r in reports) else "fail")
 
 
-def cmd_table(args) -> int:
+def cmd_table(args, out) -> int:
     # the table applies % mod itself, so only the CLI can check the modulus
     if args.mod is not None and args.mod < 2:
         raise ValueError(f"got --mod {args.mod}; the table needs --mod >= 2")
@@ -95,23 +87,23 @@ def cmd_table(args) -> int:
         values = TABLE_SERIES[args.series](args.order).coeffs
         if args.mod is not None:
             values = [v % args.mod for v in values]
-    return _emit(args, [{"n": n, "value": v} for n, v in enumerate(values)], "ok")
+    return _emit(out, args, [{"n": n, "value": v} for n, v in enumerate(values)], "ok")
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args, out) -> int:
     fams = verify.scan_congruences(args.a_max, args.n_max)
     columns = ("A", "B", "trivial")
     rows = [dict(zip(columns, (f.modulus_A, f.residue_B, f.trivial))) for f in fams]
-    return _emit(args, rows, "ok", columns)
+    return _emit(out, args, rows, "ok", columns)
 
 
-def cmd_density(args) -> int:
+def cmd_density(args, out) -> int:
     try:
         checkpoints = [int(x) for x in args.checkpoints.split(",") if x]
     except ValueError:
         raise ValueError("--checkpoints must be a comma list of integers") from None
     rows = verify.density_report(checkpoints)
-    return _emit(args, rows, "pass" if all(r["bound_ok"] for r in rows) else "fail")
+    return _emit(out, args, rows, "pass" if all(r["bound_ok"] for r in rows) else "fail")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +153,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     # The library refuses out-of-range arguments; a refusal is a usage error.
     try:
-        return args.func(args)
+        # the record's stream is settled before the command computes
+        try:
+            with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+                return args.func(args, out)
+        except OSError as exc:  # the library does no I/O, so the stream failed
+            raise ValueError(f"cannot write {args.out or 'stdout'}: {exc}") from exc
     except (ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its message; print the message
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

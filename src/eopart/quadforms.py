@@ -149,13 +149,12 @@ class ReducedForm:
         return self.b * self.b - 4 * self.a * self.c
 
 
-def reduced_forms(D: int) -> list[ReducedForm]:
-    """All reduced primitive forms of discriminant D < 0."""
+def _form_cells(D: int):
+    """Reduced primitive forms of discriminant D < 0, as (a, b, c) arrays per tile."""
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"{D} is not a negative discriminant")
     if D <= -_LIMIT:
         raise ValueError("D must be > -2**52")
-    forms = []
     # 3a^2 <= -D; b^2 = D mod 4 needs b = D mod 2, and -a < b <= a
     a_max = math.isqrt(-D // 3)
     bs = range(-a_max + 1 + (a_max + 1 + D) % 2, a_max + 1, 2)
@@ -166,8 +165,13 @@ def reduced_forms(D: int) -> list[ReducedForm]:
         a, b, num = a[i], b[j], num[j]
         c = num // (4 * a)
         keep = (c >= a) & ((b >= 0) | (a != c)) & (np.gcd(np.gcd(a, b), c) == 1)
-        forms += map(ReducedForm, a[keep].tolist(), b[keep].tolist(), c[keep].tolist())
-    return forms
+        yield a[keep], b[keep], c[keep]
+
+
+def reduced_forms(D: int) -> list[ReducedForm]:
+    """All reduced primitive forms of discriminant D < 0, in (a, b) order."""
+    tiles = (zip(a.tolist(), b.tolist(), c.tolist()) for a, b, c in _form_cells(D))
+    return [ReducedForm(*abc) for tile in tiles for abc in tile]
 
 
 def class_number(m: int) -> int:
@@ -182,7 +186,7 @@ def class_number(m: int) -> int:
     if not is_squarefree(m):
         raise ValueError(f"{m} is not squarefree; field convention undefined")
     D = -m if m % 4 == 3 else -4 * m
-    return len(reduced_forms(D))
+    return sum(len(a) for a, _, _ in _form_cells(D))
 
 
 # --- mod-4 classification ---------------------------------------------------

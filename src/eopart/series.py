@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import reduce
 from math import isqrt
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -31,19 +31,18 @@ _THETA_EXPONENTS = {
 class Series:
     """Dense truncated power series; immutable after construction.
 
-    Built from its coefficients alone: Series(coeffs) holds q^0 .. q^order
-    with order = len(coeffs) - 1, and an empty list is refused with
-    ValueError.  Products and powers are spelled mul and power.
+    Series(coeffs) holds q^0 .. q^order, order = len(coeffs) - 1; the caller
+    hands the list over, and it is kept, not copied.  An empty list is
+    refused with ValueError.  Products and powers are spelled mul and power.
     """
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Iterable[int]):
-        c = list(coeffs)
-        if not c:
+    def __init__(self, coeffs: list[int]):
+        if not coeffs:
             raise ValueError("order must be >= 0")
-        self.coeffs = c
-        self.order = len(c) - 1
+        self.coeffs = coeffs
+        self.order = len(coeffs) - 1
 
     def c(self, n: int) -> int:
         """Coefficient of q^n; n must not exceed the truncation order."""

@@ -6,10 +6,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from eopart import partitions, quadforms
-from eopart.cli import main
+from eopart import partitions, quadforms, verify
+from eopart.cli import TABLE_SERIES, main
 from eopart.quadforms import b_series_theta
 from eopart.series import eta_quotient_mod
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -200,7 +203,7 @@ class TestVerify:
         code, out, err = run(
             capsys, "verify", "--suite", "all", "--order", "10000", "--format", "json"
         )
-        stem = pathlib.Path(__file__).parent / "golden" / "verify_all_order10000"
+        stem = GOLDEN / "verify_all_order10000"
         assert out == stem.with_suffix(".json").read_text()
         assert err == stem.with_suffix(".stderr").read_text()
         assert code == int(stem.with_suffix(".exit").read_text())
@@ -210,7 +213,7 @@ class TestVerify:
         `--out` writes (tests/golden's .csv) and stderr the report lines,
         the same .stderr that the JSON run gives."""
         code, out, err = run(capsys, "verify", "--suite", "all", "--order", "10000")
-        stem = pathlib.Path(__file__).parent / "golden" / "verify_all_order10000"
+        stem = GOLDEN / "verify_all_order10000"
         # read as bytes: the csv module ends each line with \r\n
         assert out == stem.with_suffix(".csv").read_bytes().decode()
         assert err == stem.with_suffix(".stderr").read_text()
@@ -311,6 +314,9 @@ REFUSED = [
     (["scan", "--a-max", "3", "--n-max", "-1"], "n_max"),
     *[(["density", "--checkpoints", c], "checkpoints") for c in ("1", "x,y", "")],
     # /dev/null is not a directory, so nothing can be written below it
+    (["verify", "--suite", "triple-product", "--limit", "10", "--out", "/dev/null/x.csv"],
+     "cannot write"),
+    (["table", "--series", "a", "--order", "5", "--out", "/dev/null/x.csv"], "cannot write"),
     (["scan", "--a-max", "5", "--n-max", "20", "--out", "/dev/null/x.csv"], "cannot write"),
     (["density", "--checkpoints", "100", "--out", "/dev/null/x.csv"], "cannot write"),
 ]
@@ -321,6 +327,71 @@ def test_refusals_exit_two_with_empty_stdout(capsys, argv, word):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and word in err
+
+
+class Computed(Exception):
+    """Raised by a library entry that a refused command must not reach."""
+
+
+# One invocation per library entry the commands call.
+ENTRIES = [
+    ["verify", "--suite", "triple-product", "--limit", "10"],
+    ["verify", "--suite", "all", "--limit", "10"],
+    ["table", "--series", "eobar", "--order", "50", "--mod", "4"],
+    ["table", "--series", "a", "--order", "5"],
+    ["scan", "--a-max", "5", "--n-max", "20"],
+    ["density", "--checkpoints", "2000000"],
+]
+
+
+@pytest.mark.parametrize("argv", ENTRIES, ids=[" ".join(a) for a in ENTRIES])
+def test_unwritable_out_refused_before_any_work(capsys, monkeypatch, argv):
+    def work(*args):
+        raise Computed
+
+    for name in ("run_suite", "run_all", "scan_congruences", "density_report"):
+        monkeypatch.setattr(verify, name, work)
+    monkeypatch.setattr(partitions, "eobar_series_mod", work)
+    for series in TABLE_SERIES:
+        monkeypatch.setitem(TABLE_SERIES, series, work)
+    with pytest.raises(Computed):  # without --out the command reaches its entry
+        main(argv)
+    code, out, err = run(capsys, *argv, "--out", "/dev/null/x.csv")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write /dev/null/x.csv: ") and err.count("\n") == 1
+
+
+def test_refused_command_leaves_out_empty(capsys, tmp_path):
+    """--out is opened before the command runs, as a shell redirection is,
+    so a refused command leaves the file there empty."""
+    path = tmp_path / "record.csv"
+    path.write_text("an earlier record\n")
+    code, out, err = run(
+        capsys, "verify", "--suite", "genus", "--limit", "-5", "--out", str(path)
+    )
+    assert code == 2 and out == "" and "limit must be >= 0" in err
+    assert path.read_bytes() == b""
+
+
+# Stored records of table, scan and density, byte for byte.
+RECORDS = [
+    ("table_eobar_order300.csv", ["table", "--series", "eobar", "--order", "300"]),
+    ("table_a_order50.json", ["table", "--series", "a", "--order", "50", "--format", "json"]),
+    *[(f"scan_a25_n400.{f}", ["scan", "--a-max", "25", "--n-max", "400", "--format", f])
+      for f in ("csv", "json")],
+    *[(f"density_10000_100000.{f}", ["density", "--checkpoints", "10000,100000", "--format", f])
+      for f in ("csv", "json")],
+]
+
+
+@pytest.mark.parametrize("name, argv", RECORDS, ids=[name for name, _ in RECORDS])
+def test_record_matches_golden(capsys, tmp_path, name, argv):
+    """stdout and the --out file are the bytes in tests/golden, \\r\\n included."""
+    want = (GOLDEN / name).read_bytes().decode()
+    assert run(capsys, *argv) == (0, want, "")
+    path = tmp_path / name
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes().decode() == want
 
 
 class TestUsage:

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from eopart import quadforms
+from eopart.arith import factorize, is_prime
 from eopart.quadforms import (
     A_direct,
     A_series,
@@ -245,6 +246,27 @@ class TestClassNumbers:
         with pytest.raises(ValueError, match="squarefree"):
             class_number(12)
 
+    def test_refusals_keep_their_order(self):
+        # squarefree is checked first, then the float bound on D = -4m
+        with pytest.raises(ValueError, match="squarefree"):
+            class_number(4 * 2**50)
+        with pytest.raises(ValueError, match=r"D must be > -2\*\*52"):
+            class_number(2**50 + 2)
+
+    def test_class_number_builds_no_forms(self, monkeypatch):
+        # the radicands of the classnumber/genus h(-3n) walk and of h6p at
+        # their default ranges; class_number counts cells, it builds no form
+        ms = [3 * n for n in range(2, 2001, 12) if all(e == 1 for _, e in factorize(n).factors)]
+        ms += [6 * p for p in range(5, 501, 2) if p % 3 and is_prime(p)]
+        assert len(ms) == 241
+        want = [len(reduced_forms(-m if m % 4 == 3 else -4 * m)) for m in ms]
+
+        def refuse(*abc):
+            raise AssertionError("class_number built a ReducedForm")
+
+        monkeypatch.setattr(quadforms, "ReducedForm", refuse)
+        assert [class_number(m) for m in ms] == want
+
     def test_rejects_bad_discriminant(self):
         with pytest.raises(ValueError):
             reduced_forms(-6)
@@ -263,6 +285,10 @@ class TestClassNumbers:
         a_max = math.isqrt(-D // 3)
         assert a_max * a_max > quadforms._CELLS
         assert [(f.a, f.b, f.c) for f in reduced_forms(D)] == _reduced_forms_brute(D)
+
+    @pytest.mark.parametrize("m", [30001, 60002])  # D = -4m = -120004, -240008
+    def test_class_number_counts_across_tiles(self, m):
+        assert class_number(m) == len(reduced_forms(-4 * m))
 
     def test_reduced_form_validation(self):
         with pytest.raises(ValueError):

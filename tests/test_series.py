@@ -299,6 +299,10 @@ class TestSeriesInvariants:
         with pytest.raises(ValueError, match="order must be >= 0"):
             Series([])
 
+    def test_keeps_the_list_it_is_handed(self):
+        c = [1, 2, 3]
+        assert Series(c).coeffs is c
+
     def test_coeff_beyond_order(self):
         with pytest.raises(IndexError):
             Series([1, 2]).c(2)

@@ -8,7 +8,9 @@ JSON record carrying identical numbers, goes to --out or else to stdout;
 verify's report lines go to the other stream.  `main` opens --out before
 the command runs, as a shell redirection does, so an unwritable path is
 refused before any work and a refused command leaves --out empty.  Every
-refusal raises, and `main` prints it as one `error:` line and exits 2.
+refusal raises, and `main` prints it as one `error:` line and exits 2.  A
+reader that closes stdout early (`| head`) is no refusal: the command ends
+quietly, with the exit code of its verdict.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 
 from . import partitions, quadforms, verify
@@ -37,21 +40,38 @@ TABLE_SERIES = {
 }
 
 
+@contextlib.contextmanager
+def _reader_may_close(stream):
+    """Write to stream in the block, then flush it.  A stdout whose reader has
+    closed it ends the block quietly: fd 1 then points at devnull, so later
+    writes and the flush at exit go nowhere, and the command goes on."""
+    try:
+        yield
+        stream.flush()
+    except BrokenPipeError:
+        if stream is not sys.stdout:
+            raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(out, args, rows: list[dict], status: str, columns: tuple[str, ...] = ()) -> int:
     """Write the command's record onto out; exit 1 on a "fail" status."""
-    if args.format == "json":
-        skip = ("command", "func", "format", "out")  # command is a top-level field
-        params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-        record = {"command": args.command, "parameters": params, "rows": rows, "status": status}
-        out.write(json.dumps(record, indent=2, default=str) + "\n")
-    else:
-        # every key gets a column in first-seen order (a row without it leaves
-        # the cell empty); with no rows, the command's known columns are the header
-        fields = list(dict.fromkeys(k for row in rows for k in row)) or list(columns)
-        if fields:
-            writer = csv.DictWriter(out, fieldnames=fields)
-            writer.writeheader()
-            writer.writerows(rows)
+    with _reader_may_close(out):
+        if args.format == "json":
+            skip = ("command", "func", "format", "out")  # command is a top-level field
+            params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+            record = {"command": args.command, "parameters": params, "rows": rows, "status": status}
+            out.write(json.dumps(record, indent=2, default=str) + "\n")
+        else:
+            # every key gets a column in first-seen order (a row without it leaves
+            # the cell empty); with no rows, the command's known columns are the header
+            fields = list(dict.fromkeys(k for row in rows for k in row)) or list(columns)
+            if fields:
+                writer = csv.writer(out)
+                writer.writerow(fields)
+                writer.writerows([row.get(f, "") for f in fields] for row in rows)
     return EXIT_FAIL if status == "fail" else EXIT_OK
 
 
@@ -62,18 +82,19 @@ def cmd_verify(args, out) -> int:
         reports = verify.run_suite(args.suite, args.limit, args.order)
     # the report lines take whichever stream the record does not
     log = sys.stderr if out is sys.stdout else sys.stdout
-    rows = []
-    for rep in reports:
-        print(rep, file=log)
-        rows.append(
-            {
-                "suite": rep.suite,
-                "range": rep.range_checked,
-                "passed": rep.passed,
-                "counterexample": rep.counterexample,
-                **rep.details,
-            }
-        )
+    with _reader_may_close(log):
+        for rep in reports:
+            print(rep, file=log)
+    rows = [
+        {
+            "suite": rep.suite,
+            "range": rep.range_checked,
+            "passed": rep.passed,
+            "counterexample": rep.counterexample,
+            **rep.details,
+        }
+        for rep in reports
+    ]
     return _emit(out, args, rows, "pass" if all(r.passed for r in reports) else "fail")
 
 

@@ -3,9 +3,12 @@ where only the largest even part has odd multiplicity.
 
 Two independent routes to the restricted count: a walk that generates
 only the restricted partitions (the oracle, guarded to small n) and the
-eta-quotient generating function J_4^3 / J_2^2.  The membership rule below
-(`_is_eobar`) stays the written spec: the verify suite checks the walk
-against the even-below-odd partitions filtered by it.
+eta-quotient generating function J_4^3 / J_2^2.  The even-below-odd
+partitions of n come from one numpy pass as multiplicity rows
+(`_eo_rows`), and the membership rule below is written twice: `_is_eobar`
+on one tuple is the spec, `_eobar_mask` the same rule over rows.  The
+verify suite checks the walk against the rows the mask keeps, so the two
+sides of that check share no code.
 
 Membership rule for the restricted count, fixed by the defining example at
 n = 8 (five partitions: 8, 4+2+2, 3+3+2, 3+3+1+1, 1^8): when an even part
@@ -24,10 +27,10 @@ import numpy as np
 
 from .series import Series, divide, eta_factor, eta_quotient_mod, mul, power
 
-# Both walks still grow like exp(c*sqrt(n)).  The restricted one is cheap
-# (eobar(70) is only 1,976 leaves); the guard's cost lies in eo_count's
-# walk: n = 70 has 81,156 even-below-odd partitions (under a second of
-# work) and n = 100 has 1,295,971.
+# Both enumerations grow like exp(c*sqrt(n)).  The restricted walk is cheap
+# (eobar(70) is only 1,976 leaves); the guard's cost lies in the rows of
+# eo_count: n = 70 has 81,156 even-below-odd partitions (one pass of about
+# 0.03 s and 21 MB at its peak) and n = 100 has 1,295,971.
 ENUM_GUARD = 70
 
 
@@ -64,12 +67,63 @@ def _is_eobar(parts: tuple[int, ...]) -> bool:
     return not odd_mult
 
 
-def _walk(n: int, restricted: bool) -> Iterator[tuple[int, ...]]:
-    # Parts go largest first, each with its multiplicity; after the first even
-    # part only even parts follow, and an odd remainder there is cut at once.
-    # Restricted: the first even part takes an odd multiplicity and every
-    # other part an even one, so only EO-bar partitions are reached.
-    step = 2 if restricted else 1
+def _eobar_mask(rows: np.ndarray) -> np.ndarray:
+    """_is_eobar of every even-below-odd multiplicity row (see _eo_rows).
+
+    The parts of odd multiplicity must be exactly the largest even part,
+    or none when no even part is present.
+    """
+    evens = rows[:, 1::2] > 0  # parts 2, 4, 6, ...
+    # the largest even part: the one present part with no present even part above it
+    want = np.zeros(rows.shape, dtype=bool)
+    want[:, 1::2] = evens & (np.cumsum(evens[:, ::-1], axis=1, dtype=np.uint8)[:, ::-1] == 1)
+    return ((rows % 2 == 1) == want).all(axis=1)
+
+
+def _eo_rows(n: int) -> np.ndarray:
+    """Even-below-odd partitions of n as uint8 multiplicity rows, one per
+    partition: column p - 1 holds the multiplicity of part p.
+
+    Rows expand from the largest part down, one np.repeat per part p, into
+    one row per multiplicity of p.  After the first even part only even
+    parts follow, so a row in that even phase takes no odd part, and it is
+    dropped once its remainder can no longer be filled by even parts below
+    p (odd, or nonzero with p = 2).  Ones fill the rest.  Unguarded: the
+    caller checks n (uint8 multiplicities hold up to 255).
+    """
+    rows = np.zeros((1, n), dtype=np.uint8)
+    rest = np.array([n])
+    even = np.zeros(1, dtype=bool)
+    for p in range(n, 1, -1):
+        counts = np.where(even & (p % 2 == 1), 0, rest // p) + 1
+        idx = np.repeat(np.arange(len(rows)), counts)
+        k = np.arange(len(idx)) - (np.cumsum(counts) - counts)[idx]
+        rest = rest[idx] - k * p
+        even = even[idx] | ((p % 2 == 0) & (k > 0))
+        keep = ~even | (rest % 2 == 0 if p > 2 else rest == 0)
+        rows = rows[idx[keep]]  # copy only the kept rows
+        rows[:, p - 1] = k[keep]
+        rest, even = rest[keep], even[keep]
+    if n:
+        rows[:, 0] = rest
+    return rows
+
+
+def eo_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Even-below-odd partitions of n, as weakly decreasing tuples (guarded)."""
+    _check_guard(n)
+    parts = np.arange(n, 0, -1)
+    return (tuple(np.repeat(parts, row[::-1]).tolist()) for row in _eo_rows(n))
+
+
+def eobar_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Restricted (EO-bar) partitions of n, as weakly decreasing tuples.
+
+    One walk that reaches only these: parts go largest first, each with its
+    multiplicity; after the first even part only even parts follow, and an
+    odd remainder there is cut at once.  The first even part takes an odd
+    multiplicity and every other part an even one.
+    """
 
     def walk(rest: int, top: int, evens: bool) -> Iterator[tuple[int, ...]]:
         if rest == 0:
@@ -78,26 +132,11 @@ def _walk(n: int, restricted: bool) -> Iterator[tuple[int, ...]]:
             # in the even phase rest and top are both even, so p steps by 2
             for p in range(min(rest, top), 0, -2 if evens else -1):
                 even = evens or p % 2 == 0
-                first = 2 if restricted and (evens or not even) else 1
-                for k in range(first, rest // p + 1, step):
+                for k in range(2 if evens or not even else 1, rest // p + 1, 2):
                     for tail in walk(rest - k * p, p - 2 if even else p - 1, even):
                         yield (p,) * k + tail
 
     return walk(n, n, False)
-
-
-def eo_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Even-below-odd partitions of n, as weakly decreasing tuples."""
-    return _walk(n, False)
-
-
-def eobar_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Restricted (EO-bar) partitions of n, as weakly decreasing tuples.
-
-    The even-below-odd walk with its multiplicities restricted: even ones for
-    odd parts, odd ones for the largest even part, even ones for the rest.
-    """
-    return _walk(n, True)
 
 
 def _check_guard(n: int):
@@ -113,7 +152,7 @@ def _check_guard(n: int):
 def eo_count(n: int) -> int:
     """Number of partitions of n with every even part below every odd part."""
     _check_guard(n)
-    return sum(1 for _ in eo_partitions(n))
+    return len(_eo_rows(n))
 
 
 def eobar_count_enum(n: int) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import factorize, is_squarefree
-from .series import Series, eta_factor, mul, power, theta
+from .series import Series, theta_product
 
 
 _LIMIT = 2**52  # every t below it is a float64 whose sqrt is exact on squares
@@ -81,8 +81,7 @@ def r133(n: int) -> int:
 
 def ternary_series(b: int, order: int) -> Series:
     """sum r(n) q^n for x^2 + b y^2 + 3 z^2: theta(q) theta(q^b) theta(q^3)."""
-    t = theta("square", order)
-    return mul(mul(t, theta("square", order, b)), theta("square", order, 3))
+    return theta_product(order, ("square", 1), ("square", b), ("square", 3))
 
 
 def A_direct(n: int) -> int:
@@ -102,7 +101,7 @@ def A_direct(n: int) -> int:
 
 def f_series(order: int) -> Series:
     """sum a(n) q^n as the theta product (sum q^{n^2})(sum q^{3n^2-n})^2."""
-    return mul(theta("square", order), power(theta("pent3", order, 2), 2))
+    return theta_product(order, ("square", 1), ("pent3", 2), ("pent3", 2))
 
 
 def A_series(order: int) -> Series:
@@ -112,14 +111,13 @@ def A_series(order: int) -> Series:
 
 
 def b_series(order: int) -> Series:
-    """sum b(n) q^n = J_1^2 J_2."""
-    j1 = eta_factor(1, order)
-    return mul(power(j1, 2), eta_factor(2, order))
+    """sum b(n) q^n = J_1^2 J_2, each J_k = theta("pent3_alt", order, k)."""
+    return theta_product(order, ("pent3_alt", 1), ("pent3_alt", 1), ("pent3_alt", 2))
 
 
 def b_series_theta(order: int) -> Series:
     """Same series through the alternating theta product (cross-check)."""
-    return mul(theta("square_alt", order), power(theta("pent3_alt", order, 2), 2))
+    return theta_product(order, ("square_alt", 1), ("pent3_alt", 2), ("pent3_alt", 2))
 
 
 # --- binary quadratic forms -------------------------------------------------

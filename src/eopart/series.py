@@ -2,12 +2,17 @@
 
 A Series holds the coefficients of q^0 .. q^order exactly; nothing beyond
 the truncation order is ever reported.  Every binary operation truncates
-to the shorter operand.  Coefficients are Python ints, so there is no
-overflow to guard against.
+to the shorter operand.  A Series holds Python ints, so mul, power and
+divide cannot overflow.
 
-The product of two series pairs the nonzero terms of both operands, which
-keeps eta/theta products cheap (those factors are lacunary: O(sqrt(N))
-nonzero terms).  Division by a unit-constant series costs
+A product of theta factors is theta_product: the running product is an
+int64 array, and each lacunary factor (O(sqrt(N)) terms) is one shifted
+slice add or subtract per term, O(N sqrt(N)) per factor.  It computes the
+bound ||c||_inf ||f||_1 before each factor and refuses past 2^63, so its
+int64 is exact wherever it answers.  The product of two general series,
+mul, pairs the nonzero terms of both operands in Python ints; it serves
+the products that stay exact at any size (quotients, eta powers) and is
+theta_product's test oracle.  Division by a unit-constant series costs
 O(N * nnz(divisor)) by the standard coefficient recurrence.
 """
 
@@ -136,6 +141,36 @@ def _scatter(kind: ThetaKind, order: int, k: int) -> np.ndarray:
 def theta(kind: ThetaKind, order: int, k: int = 1) -> Series:
     """Lacunary series sum_{n in Z} (+-1)^n q^{k e(n)} through order (kinds, k: theta_terms)."""
     return Series(_scatter(kind, order, k).tolist())
+
+
+def theta_product(order: int, *factors: tuple[ThetaKind, int]) -> Series:
+    """Product of theta(kind, order, k) over the (kind, k) factors, in int64.
+
+    Each factor is one shifted slice add or subtract of the running
+    product per term of theta_terms.  Every product obeys
+    ||c f||_inf <= ||c||_inf ||f||_1, and ||f||_1 is the factor's term
+    count, so before each factor the kernel refuses with ValueError when
+    that bound reaches 2^63; below it every partial sum is exact.  No
+    factors give the constant-1 series.  Refused like theta_terms: an
+    unknown kind, k < 1 and order < 0.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    c = np.eye(1, order + 1, dtype=np.int64)[0]
+    for kind, k in factors:
+        exps, signs = theta_terms(kind, order, k)
+        if int(np.abs(c).max()) * len(exps) >= 1 << 63:
+            raise ValueError(
+                f"theta product overflows int64 at factor ({kind!r}, {k}) to order {order}"
+            )
+        out = np.zeros_like(c)
+        for e, sign in zip(exps.tolist(), signs.tolist()):
+            if sign > 0:
+                out[e:] += c[: order + 1 - e]
+            else:
+                out[e:] -= c[: order + 1 - e]
+        c = out
+    return Series(c.tolist())
 
 
 def mul(a: Series, b: Series) -> Series:

@@ -191,9 +191,10 @@ def verify_triple_products(order: int) -> VerificationReport:
 def verify_eobar_oracle(n_max: int) -> VerificationReport:
     """Series vs enumeration, vanishing on odd n, and the mod-4 eta form.
 
-    For n <= 40 the restricted walk's count must also equal the count of
-    even-below-odd partitions that pass the membership rule.  The mod-4
-    form J_2^2 J_4 is read from eobar_series_mod, the fast path itself.
+    For n <= 40 the restricted walk's count must also equal the number of
+    even-below-odd multiplicity rows that pass the membership rule, a check
+    that shares no code with the walk.  The mod-4 form J_2^2 J_4 is read
+    from eobar_series_mod, the fast path itself.
     """
     report = functools.partial(VerificationReport, "eobar-oracle", f"n <= {n_max}")
     ser = partitions.eobar_series(n_max)
@@ -204,7 +205,7 @@ def verify_eobar_oracle(n_max: int) -> VerificationReport:
         if n % 2 == 1 and enum != 0:
             return report({"n": n, "odd_value": enum})
         if n <= 40:
-            filtered = sum(map(partitions._is_eobar, partitions.eo_partitions(n)))
+            filtered = int(partitions._eobar_mask(partitions._eo_rows(n)).sum())
             if enum != filtered:
                 return report({"n": n, "enum": enum, "filtered": filtered})
     form = partitions.eobar_series_mod(n_max, 4).tolist()

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from eopart.series import eta_quotient_mod
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -392,6 +396,62 @@ def test_record_matches_golden(capsys, tmp_path, name, argv):
     path = tmp_path / name
     assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
     assert path.read_bytes().decode() == want
+
+
+def eopart(argv, stdout):
+    """The CLI in its own process, as a shell pipeline runs it: stdout is
+    buffered, so unwritten bytes are still there at exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.Popen(
+        [sys.executable, "-m", "eopart.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (`| head`) ends the command quietly,
+    with the exit code of its verdict, and --out is still written whole."""
+
+    def test_reader_closes_after_the_header(self):
+        # about 1.5 MB of CSV, far more than the pipe holds once the reader is gone
+        proc = eopart(["table", "--series", "eobar", "--order", "200000", "--mod", "4"],
+                      subprocess.PIPE)
+        assert proc.stdout.readline() == "n,value\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, "")
+
+    CLOSED = [
+        (["table", "--series", "a", "--order", "50"], 0, ""),
+        (["verify", "--suite", "h6p", "--limit", "50"], 1,
+         "[FAIL ({'p': 17, 'h': 4, 'h_mod8': 4})] h6p on p <= 50\n"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, err", CLOSED, ids=[" ".join(a) for a, *_ in CLOSED])
+    def test_stdout_closed_before_the_record(self, argv, code, err):
+        assert self.closed_stdout(argv) == (code, err)
+
+    def test_out_written_whole_when_stdout_closed(self, tmp_path):
+        # verify's report lines take stdout when the record takes --out
+        path = tmp_path / "record.csv"
+        argv = ["verify", "--suite", "triple-product", "--limit", "10", "--out", str(path)]
+        assert self.closed_stdout(argv) == (0, "")
+        assert path.read_bytes() == (
+            b"suite,range,passed,counterexample\r\ntriple-product,order 10,True,\r\n"
+        )
+
+    @staticmethod
+    def closed_stdout(argv):
+        """Exit code and stderr of argv run with stdout a pipe nobody reads."""
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = eopart(argv, w)
+        finally:
+            os.close(w)
+        _, err = proc.communicate(timeout=120)
+        return proc.returncode, err
 
 
 class TestUsage:

@@ -1,7 +1,12 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from eopart.partitions import (
     ENUM_GUARD,
+    _eo_rows,
+    _eobar_mask,
     eo_count,
     eo_partitions,
     eobar_count_enum,
@@ -121,12 +126,50 @@ def test_mod_path_int64_bound():
 
 
 def test_eo_partitions_match_brute_force():
-    # the pruned walk against the filter over every partition
+    # the multiplicity rows against the filter over every partition
     for n in range(26):
         walked = list(eo_partitions(n))
         assert len(walked) == len(set(walked)), n
         assert all(list(p) == sorted(p, reverse=True) for p in walked), n
         assert set(walked) == {p for p in partitions_desc(n) if _is_eo(p)}, n
+
+
+def test_eo_rows_are_multiplicities():
+    # column p - 1 holds the multiplicity of part p; n = 0 is one empty row
+    assert _eo_rows(0).shape == (1, 0)
+    assert _eo_rows(1).tolist() == [[1]]
+    for n in range(41):
+        rows = _eo_rows(n)
+        assert rows.dtype == np.uint8 and rows.shape == (eo_count(n), n), n
+        assert (rows.astype(int) @ np.arange(1, n + 1) == n).all(), n
+        assert len(np.unique(rows, axis=0)) == len(rows), n
+    assert [0, 2, 0, 1, 0, 0, 0, 0] in _eo_rows(8).tolist()  # 4+2+2
+
+
+def test_eobar_mask_is_the_membership_rule():
+    # the row rule and the tuple rule agree on every even-below-odd partition
+    for n in range(41):
+        assert _eobar_mask(_eo_rows(n)).tolist() == list(map(_is_eobar, eo_partitions(n))), n
+
+
+def test_row_pass_stays_small():
+    # the oracle's pass for n <= 40 peaks at 1 MiB at most (tracemalloc sees numpy's buffers)
+    peak = 0
+    for n in range(41):
+        tracemalloc.start()
+        try:
+            _eobar_mask(_eo_rows(n))
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2**20
+
+
+def test_eo_partitions_guarded():
+    with pytest.raises(ValueError, match="generating-function"):
+        eo_partitions(ENUM_GUARD + 1)
+    with pytest.raises(ValueError):
+        eo_partitions(-1)
 
 
 def test_eobar_partitions_match_brute_force():
@@ -147,7 +190,7 @@ def test_eobar_partitions_pass_membership_rule():
     "n, eo, eobar", [(20, 139, 26), (40, 2714, 191), (60, 28629, 966), (70, 81156, 1976)]
 )
 def test_pinned_counts(n, eo, eobar):
-    # values of the full-partition scan the walk replaced
+    # values of the full-partition scan the rows and the walk replaced
     assert eo_count(n) == eo
     assert eobar_count_enum(n) == eobar
     assert eobar_series(70).c(n) == eobar

@@ -23,6 +23,7 @@ from eopart.quadforms import (
     reduced_forms,
     ternary_series,
 )
+from eopart.series import eta_factor, mul, power, theta
 
 
 # The pure-Python loops the numpy grids replaced, kept as the reference.
@@ -164,10 +165,31 @@ class TestRepresentationNumbers:
             assert cells == [(r, c) for r in rows for c in cols]
 
 
+# The theta-product builders spelled with the Python-int mul, as each was
+# before it read series.theta_product: the kernel's oracle.
+MUL_BUILDERS = {
+    "r113": (lambda o: ternary_series(1, o),
+             lambda o: mul(mul(theta("square", o), theta("square", o)), theta("square", o, 3))),
+    "r133": (lambda o: ternary_series(3, o),
+             lambda o: mul(mul(theta("square", o), theta("square", o, 3)), theta("square", o, 3))),
+    "f": (f_series, lambda o: mul(theta("square", o), power(theta("pent3", o, 2), 2))),
+    "b": (b_series, lambda o: mul(power(eta_factor(1, o), 2), eta_factor(2, o))),
+    "b_theta": (b_series_theta,
+                lambda o: mul(theta("square_alt", o), power(theta("pent3_alt", o, 2), 2))),
+}
+
+
 class TestTernarySeries:
     @pytest.mark.parametrize("b", [1, 3])
     def test_theta_product_matches_loop(self, b):
         assert ternary_series(b, 600).coeffs == [_ternary(n, b) for n in range(601)]
+
+
+@pytest.mark.parametrize("name", MUL_BUILDERS)
+@pytest.mark.parametrize("order", [*range(60), 400, 8334])
+def test_builder_matches_mul(name, order):
+    kernel, oracle = MUL_BUILDERS[name]
+    assert kernel(order) == oracle(order)
 
 
 class TestACoefficients:

@@ -16,6 +16,7 @@ from eopart.series import (
     one,
     power,
     theta,
+    theta_product,
     theta_terms,
 )
 
@@ -141,6 +142,45 @@ class TestThetaTerms:
         for kind in KINDS:
             assert scatter(theta_terms(kind, 7, 2**70), 7) == one(7).coeffs
         assert eta_quotient_mod({2**63: 1}, {}, 5, 4).tolist() == [1, 0, 0, 0, 0, 0]
+
+
+class TestThetaProduct:
+    @given(
+        st.integers(min_value=0, max_value=60),
+        st.lists(st.tuples(st.sampled_from(KINDS), st.integers(1, 70)), max_size=4),
+    )
+    def test_matches_mul(self, order, factors):
+        want = one(order)
+        for kind, k in factors:
+            want = mul(want, theta(kind, order, k))
+        assert theta_product(order, *factors) == want
+
+    def test_no_factors_is_one(self):
+        for order in (0, 1, 9):
+            assert theta_product(order) == one(order)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            theta_product(-1)
+        with pytest.raises(ValueError, match="unknown theta kind"):
+            theta_product(5, ("square", 1), ("cubic", 1))
+        with pytest.raises(ValueError, match="dilation"):
+            theta_product(5, ("square", 0))
+
+    def test_int64_refusal(self):
+        # theta(q)^21 to order 100 has coefficients up to 1.46e18 and is exact;
+        # a next factor passes when max|c| times its term count stays below
+        # 2^63: theta(q^12) has 5 terms to order 100 (7.3e18), theta(q^7) 7 (1.02e19)
+        squares = [("square", 1)] * 21
+        exact = power(theta("square", 100), 21)
+        assert theta_product(100, *squares) == exact
+        assert max(exact.coeffs) * 5 < 2**63 <= max(exact.coeffs) * 7 < 2**64
+        assert theta_product(100, *squares, ("square", 12)) == mul(exact, theta("square", 100, 12))
+        with pytest.raises(ValueError, match="overflows int64"):
+            theta_product(100, *squares, ("square", 7))
+        # far past the bound nothing wraps round: refused, not answered
+        with pytest.raises(ValueError, match="overflows int64"):
+            theta_product(10, *[("square", 1)] * 200)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import math
 import threading
 
+import numpy as np
 import pytest
 
 import eopart.verify as V
@@ -208,6 +209,18 @@ class TestSuites:
         rep = V.verify_eobar_oracle(30)
         assert not rep.passed
         assert rep.counterexample["n"] == 8
+
+    @pytest.mark.parametrize("patched", ["_eo_rows", "_eobar_mask"])
+    def test_eobar_oracle_catches_a_dropped_row(self, monkeypatch, patched):
+        # 4+2+2 lost from the rows, or rejected by the row rule: the walk's
+        # 5 restricted partitions of 8 against 4 kept rows
+        eo_rows, mask = partitions._eo_rows, partitions._eobar_mask
+        keep = lambda rows: np.array([row != [0, 2, 0, 1, 0, 0, 0, 0] for row in rows.tolist()])
+        if patched == "_eo_rows":
+            monkeypatch.setattr(partitions, "_eo_rows", lambda n: eo_rows(n)[keep(eo_rows(n))])
+        else:
+            monkeypatch.setattr(partitions, "_eobar_mask", lambda rows: mask(rows) & keep(rows))
+        assert V.verify_eobar_oracle(30).counterexample == {"n": 8, "enum": 5, "filtered": 4}
 
     def test_r113_A(self):
         assert V.verify_r113_A(400).passed

@@ -164,13 +164,19 @@ def eobar_count_enum(n: int) -> int:
 def eobar_series(order: int) -> Series:
     """Generating function J_4^3 / J_2^2 with exact coefficients.
 
-    The two inverse factors are divided out one at a time so the recurrence
-    only walks the lacunary J_2, never a dense square.
+    J_4^3 / J_2^2 is (J_2^3 / J_1^2)(q^2), so the quotient J_2^3 / J_1^2 is
+    built to order // 2 and spread over the even exponents; the odd
+    coefficients are 0.  The two inverse factors are divided out one at a
+    time so the recurrence only walks the lacunary J_1, never a dense
+    square.
     """
-    j2 = eta_factor(2, order)
-    j4 = eta_factor(4, order)
-    num = mul(power(j4, 2), j4)
-    return divide(divide(num, j2), j2)
+    half = order // 2  # negative for every order < 0, which eta_factor refuses
+    j1 = eta_factor(1, half)
+    j2 = eta_factor(2, half)
+    quotient = divide(divide(mul(power(j2, 2), j2), j1), j1)
+    coeffs = [0] * (order + 1)
+    coeffs[::2] = quotient.coeffs
+    return Series(coeffs)
 
 
 def eobar_series_mod(order: int, m: int) -> np.ndarray:

@@ -84,6 +84,16 @@ def ternary_series(b: int, order: int) -> Series:
     return theta_product(order, ("square", 1), ("square", b), ("square", 3))
 
 
+def r3_series(order: int) -> Series:
+    """sum r_3(m) q^m for x^2 + y^2 + z^2: theta(q)^3.
+
+    Gauss's three-square theorem gives r_3(m) = 12 class_number(m) for
+    squarefree m > 3 with m = 1, 2 mod 4, so one table gives every class
+    number the verify suites read.
+    """
+    return theta_product(order, ("square", 1), ("square", 1), ("square", 1))
+
+
 def A_direct(n: int) -> int:
     """Count of (x, y, z) with (6x+1)^2 + (6y+1)^2 + 12 z^2 = n.
 

@@ -13,7 +13,9 @@ int64 is exact wherever it answers.  The product of two general series,
 mul, pairs the nonzero terms of both operands in Python ints; it serves
 the products that stay exact at any size (quotients, eta powers) and is
 theta_product's test oracle.  Division by a unit-constant series costs
-O(N * nnz(divisor)) by the standard coefficient recurrence.
+O(N * nnz(divisor)) by the standard coefficient recurrence.  The honest
+eta product, eta_factor's oracle, runs in int64 and moves to Python ints
+only if max|c| reaches 2^62.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from typing import Literal
 import numpy as np
 
 ThetaKind = Literal["square", "square_alt", "pent3", "pent3_alt"]
+
+# eta_product keeps int64 while max|c| < 2^62, so the next factor (1 - q^j),
+# which at most doubles it, stays below 2^63.
+_ETA_INT64_LIMIT = 1 << 62
 
 # Exponent e(n) of each kind's term; the *_alt kinds add the sign (-1)^n.
 _THETA_EXPONENTS = {
@@ -86,19 +92,29 @@ def eta_product(k: int, order: int) -> Series:
 
     This is the oracle for eta_factor: it makes no appeal to the
     pentagonal number theorem.  Each factor (1 - q^j) is one slice update
-    of a numpy array of Python ints (dtype=object), so the product is
-    exact at every order; it costs O(order^2 / k) integer subtractions.
+    of an int64 array, O(order^2 / k) subtractions in all.  A factor at
+    most doubles max|c|, so a running bound doubles with each one; when it
+    reaches _ETA_INT64_LIMIT = 2^62 the kernel measures max|c| again, and
+    only a measured max at or past 2^62 moves the array to Python ints
+    (dtype=object), so every partial product is exact.  The partial
+    products peak near 2^22 at order 2000, so the default suite stays in
+    int64.
     """
     if k < 1:
         raise ValueError("eta factor needs k >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
-    c = np.zeros(order + 1, dtype=object)
-    c[0] = 1
+    c = np.eye(1, order + 1, dtype=np.int64)[0]
+    bound = 1  # >= max|c|
     for j in range(k, order + 1, k):
+        if bound >= _ETA_INT64_LIMIT and c.dtype != object:
+            bound = int(np.abs(c).max())
+            if bound >= _ETA_INT64_LIMIT:
+                c = c.astype(object)
         # (1 - q^j) * c, in place: numpy reads an operand that overlaps the
         # output as if copied first, so no descending loop is needed
         c[j:] -= c[: order + 1 - j]
+        bound *= 2
     return Series(c.tolist())
 
 

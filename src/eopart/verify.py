@@ -243,22 +243,58 @@ def verify_r113_A(n_max: int) -> VerificationReport:
     return report()
 
 
-def _h_minus_3n(n_max: int) -> Iterator[tuple[int, int, int]]:
-    """(n, t, h(-3n)) for each squarefree n = 2 mod 12 up to n_max (criteria 4 and 5).
+# class_number, the reduced-form count, is compared with the theta^3 table
+# on every H_SAMPLE-th radicand of a class-number suite, the first included.
+H_SAMPLE = 8
+
+
+def _class_numbers(ms: list[int]) -> Iterator[tuple[int, dict | None]]:
+    """(h, mismatch) for each radicand m of ms: h(-4m) = r_3(m) / 12 from one
+    theta(q)^3 table, and where the table fails its oracle, what it read.
+
+    Gauss's three-square theorem gives r_3(m) = 12 h(-4m) for squarefree
+    m > 3 with m = 1, 2 mod 4, the kind of every radicand the suites read:
+    3n for squarefree n = 2 mod 12, and 6p for primes p >= 5.  The oracle,
+    class_number(m), runs on every H_SAMPLE-th radicand (the first
+    included) and wherever 12 does not divide r_3(m); mismatch is None
+    where it agrees or does not run.
+    """
+    r3 = quadforms.r3_series(max(ms, default=0)).coeffs
+    for i, m in enumerate(ms):
+        r = r3[m]
+        if (r % 12 or i % H_SAMPLE == 0) and 12 * (c := quadforms.class_number(m)) != r:
+            yield r // 12, {"r3": r, "class_number": c}
+        else:
+            yield r // 12, None
+
+
+def _h_minus_3n(n_max: int) -> Iterator[tuple[int, int, int, dict | None]]:
+    """(n, t, h(-3n), mismatch) for each squarefree n = 2 mod 12 up to n_max
+    (criteria 4 and 5), with h and mismatch from _class_numbers.
 
     t is the number of distinct primes of 3n.  One factorize(n) decides
-    squarefreeness and gives t, since n = 2 mod 12 is prime to 3.
+    squarefreeness and gives t, since n = 2 mod 12 is prime to 3.  h(-3n)
+    is h(-4 * 3n) in the field convention, as 3n = 2 mod 4.
     """
+    walk = []
     for n in range(2, n_max + 1, 12):
         factors = factorize(n).factors
         if all(e == 1 for _, e in factors):
-            yield n, len(factors) + 1, quadforms.class_number(3 * n)
+            walk.append((n, len(factors) + 1))
+    for (n, t), (h, mismatch) in zip(walk, _class_numbers([3 * n for n, _ in walk])):
+        yield n, t, h, mismatch
 
 
 def verify_classnumber(n_max: int) -> VerificationReport:
-    """r113(n) = r133(3n) = 2 h(-3n) for squarefree n = 2 mod 12."""
+    """r113(n) = r133(3n) = 2 h(-3n) for squarefree n = 2 mod 12.
+
+    r113(n) and r133(3n) are lattice counts for every n; h(-3n) is read from
+    the theta^3 table, with class_number on its sample (_class_numbers).
+    """
     report = functools.partial(VerificationReport, "classnumber", f"n <= {n_max}")
-    for n, _, h in _h_minus_3n(n_max):
+    for n, _, h, mismatch in _h_minus_3n(n_max):
+        if mismatch:
+            return report({"n": n, **mismatch})
         r1 = quadforms.r113(n)
         r2 = quadforms.r133(3 * n)
         if not (r1 == r2 == 2 * h):
@@ -272,29 +308,31 @@ def verify_h6p(p_max: int) -> VerificationReport:
     As stated this fails (first at p=17: h(-102)=4, not 0 mod 8); restricted
     to p = 1 mod 6, which is the only regime where the classification proof
     invokes it (n = 2p = 2 mod 12 forces p = 1 mod 6), it holds.  The
-    restricted result is reported in details either way.
+    restricted result is reported in details either way.  h(-6p) is read
+    from the theta^3 table, with class_number on its sample
+    (_class_numbers); a mismatch there is a counterexample too.
     """
     counterexample = None
     restricted_ok = True
-    for p in range(5, p_max + 1, 2):
-        if p % 3 == 0 or not is_prime(p):
-            continue
-        h = quadforms.class_number(6 * p)
+    ps = [p for p in range(5, p_max + 1, 2) if p % 3 and is_prime(p)]
+    for p, (h, mismatch) in zip(ps, _class_numbers([6 * p for p in ps])):
         want = 4 if p % 8 in (5, 7) else 0
-        if h % 8 != want:
-            if p % 6 == 1:
-                restricted_ok = False
-            if counterexample is None:
-                counterexample = {"p": p, "h": h, "h_mod8": h % 8}
+        if h % 8 != want and p % 6 == 1:
+            restricted_ok = False
+        if counterexample is None and (mismatch or h % 8 != want):
+            counterexample = {"p": p, **(mismatch or {"h": h, "h_mod8": h % 8})}
     return VerificationReport(
         "h6p", f"p <= {p_max}", counterexample, {"holds_for_p_1_mod_6": restricted_ok}
     )
 
 
 def verify_genus(n_max: int) -> VerificationReport:
-    """2^{t-1} divides h(-3n), t = number of distinct primes of 3n."""
+    """2^{t-1} divides h(-3n), t = number of distinct primes of 3n; h(-3n)
+    as in verify_classnumber."""
     report = functools.partial(VerificationReport, "genus", f"n <= {n_max}")
-    for n, t, h in _h_minus_3n(n_max):
+    for n, t, h, mismatch in _h_minus_3n(n_max):
+        if mismatch:
+            return report({"n": n, **mismatch})
         if h % (1 << (t - 1)):
             return report({"n": n, "t": t, "h": h})
     return report()
@@ -349,31 +387,51 @@ def verify_classification(n_max: int) -> VerificationReport:
     """Certificate class equals A(n) mod 4 for every n = 2 mod 12 up to n_max.
 
     A(n) is read from the theta-product series f_series, which this suite
-    takes as given: it checks that the class certified from the odd-exponent
-    primes of n/2 = 6k+1 (one odd_exponent_sieve pass over k) matches A(n)
-    mod 4 and that the certificate's witness reconstructs n.  The pointwise
-    classify_mod4, through factorize, must give the same certificate for
-    every k <= 100 and every 97th k.  The r113-A suite checks f_series
-    against the A_direct lattice count on its own range (n <= 5000 by default).
+    takes as given.  One array pass over the odd_exponent_sieve of
+    n/2 = 6k+1 checks, for every k, that the class the primes with odd
+    exponent certify matches A(n) mod 4, and that the witness rebuilds n/2
+    in int64: m^2 for the odd class, p^e m^2 with gcd(m, 6p) = 1 for the
+    2 mod 4 class.  On the sample k <= 100 and every 97th k the
+    Mod4Certificate is built and checked too, and the pointwise
+    classify_mod4, through factorize, must give the same certificate.  The
+    least failing n is reported.  The r113-A suite checks f_series against
+    the A_direct lattice count on its own range (n <= 5000 by default).
     """
     report = functools.partial(VerificationReport, "classification", f"n <= {n_max}")
     if n_max < 2:
         return report()
     order = (n_max - 2) // 12
-    f = quadforms.f_series(order)
+    a4 = np.array(quadforms.f_series(order).coeffs, dtype=np.int64) % 4
+    n_odd, prime, expo = odd_exponent_sieve(6, 1, order + 1)
+    odd = n_odd == 0
+    two = (n_odd == 1) & (expo % 4 == 1) & ((prime % 8 == 5) | (prime % 8 == 7))
+    rule = np.where(odd, a4 % 2 == 1, np.where(two, a4 == 2, a4 == 0))
+    # the witness: divide p out e times, then m^2 must be what is left
+    p = np.where(two, prime, 1)
+    rest = 6 * np.arange(order + 1, dtype=np.int64) + 1
+    whole = np.ones(order + 1, dtype=bool)
+    for i in range(int(expo[two].max(initial=0))):
+        at = two & (expo > i)
+        whole &= ~at | (rest % p == 0)
+        rest = np.where(at, rest // p, rest)
+    m = np.rint(np.sqrt(rest)).astype(np.int64)  # exact on squares below 2^62
+    rebuilt = whole & (m * m == rest) & (np.gcd(m, 6) == 1) & (np.gcd(m, p) == 1)
+    bad = np.flatnonzero(~rule | ((odd | two) & ~rebuilt))
+    first = int(bad[0]) if len(bad) else order + 1
     want = {
         Mod4Class.ODD: (1, 3),
         Mod4Class.TWO_MOD_FOUR: (2,),
         Mod4Class.ZERO_MOD_FOUR: (0,),
     }
-    sieved = zip(*(col.tolist() for col in odd_exponent_sieve(6, 1, order + 1)))
-    for k, (n_odd, p, e) in enumerate(sieved):
+    # the sample below the array's first failure, then that failure
+    sample = (k for k in itertools.chain(range(101), range(194, order + 1, 97)) if k < first)
+    for k in itertools.chain(sample, [first] if first <= order else []):
         n = 12 * k + 2
-        a4 = f.c(k) % 4
-        cert = quadforms._certificate(n, n_odd, p, e)
-        sampled = k <= 100 or k % 97 == 0
-        if a4 not in want[cert.cls] or not cert.check() or (sampled and classify_mod4(n) != cert):
-            return report({"n": n, "A_mod4": a4, "class": cert.cls.value})
+        cert = quadforms._certificate(n, int(n_odd[k]), int(prime[k]), int(expo[k]))
+        if k == first or int(a4[k]) not in want[cert.cls] or not cert.check() or (
+            classify_mod4(n) != cert
+        ):
+            return report({"n": n, "A_mod4": int(a4[k]), "class": cert.cls.value})
     return report()
 
 

@@ -17,7 +17,7 @@ from eopart.partitions import (
     _is_eo,
     _is_eobar,
 )
-from eopart.series import eta_factor, eta_quotient_mod, mul, power
+from eopart.series import divide, eta_factor, eta_quotient_mod, mul, power
 
 # the defining fixture: the five restricted partitions of 8
 EOBAR_8 = {
@@ -78,6 +78,14 @@ def test_series_matches_enum():
     s = eobar_series(60)
     for n in range(61):
         assert s.c(n) == eobar_count_enum(n), n
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 400, 401])
+def test_half_order_quotient_matches_full_order(order):
+    # eobar_series builds (J_2^3 / J_1^2)(q^2) at order // 2; the oracle is
+    # the quotient J_4^3 / J_2^2 divided out at the full order
+    j2, j4 = eta_factor(2, order), eta_factor(4, order)
+    assert eobar_series(order) == divide(divide(mul(power(j4, 2), j4), j2), j2)
 
 
 def test_eobar_below_eo():

@@ -20,6 +20,7 @@ from eopart.quadforms import (
     f_series,
     r113,
     r133,
+    r3_series,
     reduced_forms,
     ternary_series,
 )
@@ -275,12 +276,18 @@ class TestClassNumbers:
         with pytest.raises(ValueError, match=r"D must be > -2\*\*52"):
             class_number(2**50 + 2)
 
-    def test_class_number_builds_no_forms(self, monkeypatch):
+    @staticmethod
+    def suite_radicands():
         # the radicands of the classnumber/genus h(-3n) walk and of h6p at
-        # their default ranges; class_number counts cells, it builds no form
+        # their default ranges
         ms = [3 * n for n in range(2, 2001, 12) if all(e == 1 for _, e in factorize(n).factors)]
         ms += [6 * p for p in range(5, 501, 2) if p % 3 and is_prime(p)]
         assert len(ms) == 241
+        return ms
+
+    def test_class_number_builds_no_forms(self, monkeypatch):
+        # class_number counts cells, it builds no form
+        ms = self.suite_radicands()
         want = [len(reduced_forms(-m if m % 4 == 3 else -4 * m)) for m in ms]
 
         def refuse(*abc):
@@ -288,6 +295,22 @@ class TestClassNumbers:
 
         monkeypatch.setattr(quadforms, "ReducedForm", refuse)
         assert [class_number(m) for m in ms] == want
+
+    def test_three_squares_give_the_suite_class_numbers(self):
+        # Gauss: r_3(m) = 12 h(-4m) for squarefree m > 3, m = 1, 2 mod 4; the
+        # suites read h from r3_series and compare class_number on a sample
+        ms = self.suite_radicands()
+        assert all(m > 3 and m % 4 in (1, 2) for m in ms)
+        r3 = r3_series(max(ms)).coeffs
+        assert all(r3[m] % 12 == 0 for m in ms)
+        assert [class_number(m) for m in ms] == [r3[m] // 12 for m in ms]
+
+    def test_r3_series_counts_three_squares(self):
+        r = math.isqrt(60)
+        counts = collections.Counter(
+            x * x + y * y + z * z for x, y, z in itertools.product(range(-r, r + 1), repeat=3)
+        )
+        assert r3_series(60).coeffs == [counts[m] for m in range(61)]
 
     def test_rejects_bad_discriminant(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eopart import series
 from eopart.series import (
     Series,
     _inv_mod,
@@ -84,9 +85,22 @@ class TestEtaFactor:
 
     def test_past_the_product_guard(self):
         # for k = 1 the honest product's intermediate coefficients reach 2^40
-        # from order 5689 on; it works in Python ints, so it has no ceiling
+        # from order 5689 on; below 2^62 they stay in int64, exactly
         assert eta_product(1, 6000) == eta_factor(1, 6000)
         assert eta_factor(1, 6000).coeffs == definition_sum("pent3_alt", 6000)
+
+    @pytest.mark.parametrize("k,peak", [(1, 254), (2, 31), (3, 12)])
+    def test_moves_to_python_ints_past_the_limit(self, monkeypatch, k, peak):
+        # the partial products to order 400 peak at max|c| = 254, 31 and 12:
+        # past a limit of 2^3 each product finishes in Python ints
+        partial = [1] + [0] * 400
+        most = 0
+        for j in range(k, 401, k):
+            partial = [c - (partial[i - j] if i >= j else 0) for i, c in enumerate(partial)]
+            most = max(most, *map(abs, partial))
+        assert most == peak
+        monkeypatch.setattr(series, "_ETA_INT64_LIMIT", 1 << 3)
+        assert eta_product(k, 400) == eta_factor(k, 400)
 
 
 class TestTheta:

@@ -6,7 +6,7 @@ import pytest
 
 import eopart.verify as V
 from eopart import partitions, quadforms
-from eopart.arith import factorize
+from eopart.arith import factorize, is_prime
 from eopart.partitions import eobar_series_mod
 from eopart.series import Series, eta_quotient_mod, mul
 
@@ -267,6 +267,52 @@ class TestSuites:
         assert V.verify_genus(500).passed
         assert calls == list(range(2, 501, 12))
 
+    @pytest.mark.parametrize("suite,m,want", [
+        # 42 = 3 * 14 = 6 * 7 is read from the table alone (second radicand)
+        ("classnumber", 42, {"n": 14, "r113": 8, "r133_3n": 8, "h": 5}),
+        ("genus", 42, {"n": 14, "t": 3, "h": 5}),
+        ("h6p", 42, {"p": 7, "h": 5, "h_mod8": 5}),
+        # 6 = 3 * 2 and 30 = 6 * 5 are first radicands, where class_number runs
+        ("classnumber", 6, {"n": 2, "r3": 36, "class_number": 2}),
+        ("genus", 6, {"n": 2, "r3": 36, "class_number": 2}),
+        ("h6p", 30, {"p": 5, "r3": 60, "class_number": 4}),
+    ])
+    def test_class_number_suites_read_the_theta_cubed_table(self, monkeypatch, suite, m, want):
+        # r_3(m) off by 12 puts h(-4m) off by one
+        r3 = quadforms.r3_series
+        bumped = lambda order: Series([c + 12 * (i == m) for i, c in enumerate(r3(order).coeffs)])
+        monkeypatch.setattr(quadforms, "r3_series", bumped)
+        assert V.run_suite(suite)[0].counterexample == want
+
+    @staticmethod
+    def radicands(suite):
+        if suite == "h6p":
+            return [6 * p for p in range(5, 501, 2) if p % 3 and is_prime(p)]
+        squarefree = lambda n: all(e == 1 for _, e in factorize(n).factors)
+        return [3 * n for n in range(2, 2001, 12) if squarefree(n)]
+
+    @pytest.mark.parametrize("suite", ["classnumber", "genus", "h6p"])
+    def test_class_number_is_sampled(self, monkeypatch, suite):
+        # the reduced-form count runs on every H_SAMPLE-th radicand, the first included
+        ms = self.radicands(suite)
+        count = quadforms.class_number
+        calls = []
+        monkeypatch.setattr(quadforms, "class_number", lambda m: calls.append(m) or count(m))
+        V.run_suite(suite)
+        assert calls == ms[:: V.H_SAMPLE]
+
+    # h6p's own first counterexample, p = 17, is its fourth radicand
+    @pytest.mark.parametrize("suite,i", [("classnumber", 8), ("genus", 16), ("h6p", 0)])
+    def test_class_number_catches_the_table_on_its_sample(self, monkeypatch, suite, i):
+        assert i % V.H_SAMPLE == 0
+        m = self.radicands(suite)[i]
+        h = quadforms.class_number(m)
+        count = quadforms.class_number
+        monkeypatch.setattr(quadforms, "class_number", lambda k: count(k) + (k == m))
+        key, value = ("p", m // 6) if suite == "h6p" else ("n", m // 3)
+        want = {key: value, "r3": 12 * h, "class_number": h + 1}
+        assert V.run_suite(suite)[0].counterexample == want
+
     def test_h6p_fails_at_17_but_holds_on_1_mod_6(self):
         # the quoted dichotomy is false as stated: h(-102) = 4, yet
         # 17 = 1 mod 8 predicts 0 mod 8; restricted to p = 1 mod 6 (the
@@ -364,6 +410,23 @@ class TestSuites:
         monkeypatch.setattr(quadforms, "_certificate", off_by_one)
         assert V.verify_classification(5000).counterexample == {
             "n": 2, "A_mod4": 1, "class": "odd"
+        }
+
+    def test_classification_rebuilds_every_witness(self, monkeypatch):
+        # 6k + 1 = 613 is a prime = 5 mod 8 at k = 102, outside the sample;
+        # reported as 5, the class and A(1226) = 2 mod 4 still agree, and
+        # only the array pass's rebuild of 613 = 5 m^2 fails
+        sieve = V.odd_exponent_sieve
+
+        def wrong_prime(a, b, count):
+            n_odd, prime, expo = sieve(a, b, count)
+            assert (n_odd[102], prime[102], expo[102]) == (1, 613, 1)
+            prime[102] = 5
+            return n_odd, prime, expo
+
+        monkeypatch.setattr(V, "odd_exponent_sieve", wrong_prime)
+        assert V.verify_classification(5000).counterexample == {
+            "n": 1226, "A_mod4": 2, "class": "two_mod_four"
         }
 
     def test_classification_samples_the_pointwise_route(self, monkeypatch):
